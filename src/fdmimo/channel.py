@@ -115,6 +115,9 @@ def build_topology(rng, n_bs: int, hex_radius: float,
                    min_ue_ue: float = 3.0) -> Topology:
     """Random drop: BSs uniform in the hexagon, UEs uniform in a disc around
     their serving BS, all Table-style minimum distances enforced."""
+    if not min_bs_ue < ue_drop_radius:
+        raise TopologyError(f"min_bs_ue ({min_bs_ue}) must be below "
+                            f"ue_drop_radius ({ue_drop_radius})")
     rng = np.random.default_rng(rng)
     bs = []
     for _ in range(n_bs):

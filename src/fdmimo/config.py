@@ -100,9 +100,11 @@ def validate(cfg: SystemConfig, closed_forms: bool = False) -> ValidationResult:
     for name in ("K_f", "K_h_u", "K_h_d"):
         if getattr(cfg, name) < 0:
             bad.append(f"{name}: nonnegative integer required")
+    if cfg.K_d < 1:
+        bad.append("K_d: at least one downlink user required")
     for name in ("P_u", "P_d", "P_tr", "sigma2", "sigma2_dl"):
-        if getattr(cfg, name) <= 0:
-            bad.append(f"{name}: strictly positive power required")
+        if not 0 < getattr(cfg, name) < np.inf:
+            bad.append(f"{name}: strictly positive finite power required")
     if not 0.0 <= cfg.kappa < 1.0:
         bad.append("kappa: value in [0, 1) required")
     elif cfg.kappa > 0.1:

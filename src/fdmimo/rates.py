@@ -6,10 +6,36 @@ imperfect CSI is a deterministic expression in channel moments and is
 evaluated analytically (see :func:`dl_rates_fd_imperfect`); everything else is
 averaged over channel realizations.
 
-The Monte Carlo drivers never materialize the M x M BS-BS matrices: for a
-combining vector w fixed by the realization, V^H w has i.i.d. CN(0, beta_b
-|w|^2) entries independent of everything else, so an equivalent M-vector is
-drawn directly.  Per-user rate distributions are unchanged.
+The Monte Carlo engine never draws an M-vector.  Every inner product the SINR
+kernels form pairs a vector at some BS j with one of BS j's span vectors: its
+combiners and the precoders not among them.  There are D = K_u + K_d - K_f of
+them, or K_u + K_d with TDD pilots, whose two slots give an FD user two
+observations.  Inner products do not change when every vector at BS j is
+replaced by its coordinates in an orthonormal basis of the span, a space of
+r = min(M, D) dimensions, so the engine draws those coordinates with their
+exact joint law (:class:`_TrialSampler`):
+
+* Every vector at BS j is a fixed real combination of S independent unit
+  sources, the channels and pilot noises seen there: the span is Xi C for an
+  M x S i.i.d. CN(0, 1) matrix Xi and an S x D coefficient matrix C.  With
+  C = Q R_C (QR), Xi Q is again i.i.d., and its QR factor R0 is the complex
+  Bartlett factor: r x D upper-trapezoidal, |R0[i, i]|^2 ~ Gamma(M - i, 1),
+  CN(0, 1) above the diagonal (Odell & Feiveson, 1966).  The span's
+  coordinates are R0 R_C, a Bartlett factor times the Cholesky factor of the
+  span's column covariance C^H C.
+* The sources' coordinates are R0 Q^T + Xi' (I - Q Q^T) with a fresh r x S
+  i.i.d. Xi': their conditional mean given the span plus a fresh draw minus
+  its own conditional mean given its own span (pathwise conditioning,
+  "Matheron's rule").  Every other vector follows from them.
+
+Different BSs see independent channels and noises, so each BS is drawn on its
+own, and a trial costs O(L^2 K^2) draws whatever M is.
+
+The M x M BS-BS matrices are never formed either: for a combining vector w
+fixed by the realization, V^H w has i.i.d. CN(0, beta_b |w|^2) entries
+independent of everything else, so an equivalent r-vector is drawn directly
+against the precoders' coordinates.  Per-user rate distributions are exactly
+those of the M-vector model.
 """
 
 from __future__ import annotations
@@ -203,7 +229,20 @@ class RateReport:
                        "rows": self.rows()}, fh, indent=1, sort_keys=True)
 
 
+_SYSTEMS = ("fd", "tdd")
+_CSI_MODES = ("perfect", "imperfect")
+
+
+def _check_mode(system: str, csi: str) -> None:
+    """Reject a system or CSI string that no code path handles."""
+    if system not in _SYSTEMS:
+        raise ValueError(f"system must be one of {_SYSTEMS}, got {system!r}")
+    if csi not in _CSI_MODES:
+        raise ValueError(f"csi must be one of {_CSI_MODES}, got {csi!r}")
+
+
 def overheads(cfg: SystemConfig, system: str, csi: str) -> tuple[float, float]:
+    _check_mode(system, csi)
     if system == "fd":
         if csi == "perfect":
             return 1.0, 1.0
@@ -218,50 +257,107 @@ def overheads(cfg: SystemConfig, system: str, csi: str) -> tuple[float, float]:
 # Batched Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-def _draw_trials(profile, cfg, rng, B, need_est, tdd_pilots):
-    """Draw a batch of B coherence blocks (and estimates when requested)."""
-    L, K_u, K_d, K_f, M = profile.L, profile.K_u, profile.K_d, profile.K_f, cfg.M
-    Gu = draw_cn(rng, (B, L, L, M, K_u)) * np.sqrt(profile.beta_u[:, :, None, :])
-    Gd = draw_cn(rng, (B, L, L, M, K_d)) * np.sqrt(profile.beta_d[:, :, None, :])
-    jj = np.arange(L)
-    Gd[:, jj, jj, :, :K_f] = Gu[:, jj, jj, :, :K_f]
-    F = draw_cn(rng, (B, L, K_d, L, K_u)) * np.sqrt(profile.beta_I)
-    out = {"Gu": Gu, "Gd": Gd, "F": F}
-    if not need_est:
+class _TrialSampler:
+    """Batches of coherence blocks in each BS's own coordinates.
+
+    ``draw`` returns what the M-vector model would give, with every M-vector
+    replaced by its r = min(M, D) coordinates in an orthonormal basis of its
+    BS's span (module docstring).  The sources seen at BS j are ordered as
+    uplink channels (L * K_u, cell-major), downlink channels (L * K_d), then
+    the pilot noises of the uplink and downlink slots (K_u, K_d).  The
+    own-cell downlink channels of FD users are the uplink ones, so their
+    downlink sources go unused.
+    """
+
+    def __init__(self, profile, cfg, need_est, tdd_pilots):
+        self.profile, self.cfg, self.tdd_pilots = profile, cfg, tdd_pilots
+        L, K_u, K_d = profile.L, profile.K_u, profile.K_d
+        self.mmse = None
+        if need_est:
+            st = estimation_stats(profile, cfg)
+            jj = np.arange(L)
+            self.mmse = (cfg.P_tr * profile.beta_u[jj, jj] / st.lam_u,   # (L, K_u)
+                         cfg.P_tr * profile.beta_d[jj, jj] / st.lam_d,   # (L, K_d)
+                         math.sqrt(cfg.sigma2 / cfg.P_tr))
+        S = L * (K_u + K_d) + K_u + K_d
+        # Assembling the identity gives each span vector's source coefficients.
+        coef = self._span(self._assemble(np.broadcast_to(np.eye(S), (1, L, S, S))))[0]
+        # Unit columns span the same space and keep QR accurate when gains
+        # differ by orders of magnitude.
+        coef = coef / np.linalg.norm(coef, axis=1, keepdims=True)
+        self.basis = np.linalg.qr(coef)[0]                 # (L, S, D)
+        self.r = min(cfg.M, self.basis.shape[2])
+
+    def _assemble(self, T):
+        """The batch dict from unit-source coordinates T of shape (B, L, r, S)."""
+        p = self.profile
+        B, L, r = T.shape[:3]
+        K_u, K_d, K_f = p.K_u, p.K_d, p.K_f
+        a, b = L * K_u, L * (K_u + K_d)
+        Gu = np.moveaxis(T[..., :a].reshape(B, L, r, L, K_u), 3, 2) \
+            * np.sqrt(p.beta_u[:, :, None, :])
+        Gd = np.moveaxis(T[..., a:b].reshape(B, L, r, L, K_d), 3, 2) \
+            * np.sqrt(p.beta_d[:, :, None, :])
+        jj = np.arange(L)
+        Gd[:, jj, jj, :, :K_f] = Gu[:, jj, jj, :, :K_f]
+        out = {"Gu": Gu, "Gd": Gd}
+        if self.mmse is None:
+            return out
+        cu, cd, scale = self.mmse
+        Ghu = cu[:, None, :] * (Gu.sum(axis=2) + scale * T[..., b:b + K_u])
+        Ghd = cd[:, None, :] * (Gd.sum(axis=2) + scale * T[..., b + K_u:])
+        if not self.tdd_pilots:
+            # Full-duplex training: one shared pilot per FD user.
+            Ghd[..., :K_f] = Ghu[..., :K_f]
+        out["Ghu"] = Ghu
+        out["Ghd"] = Ghd
+        out["Eps"] = Gu[:, jj, jj] - Ghu
         return out
-    st = estimation_stats(profile, cfg)
-    own_u = profile.beta_u[jj, jj]                       # (L, K_u)
-    own_d = profile.beta_d[jj, jj]
-    cu = (cfg.P_tr * own_u / st.lam_u)[None, :, None, :]  # (1, L, 1, K_u)
-    cd = (cfg.P_tr * own_d / st.lam_d)[None, :, None, :]
-    scale = math.sqrt(cfg.sigma2 / cfg.P_tr)
-    Yu = Gu.sum(axis=2) + scale * draw_cn(rng, (B, L, M, K_u))
-    Ghu = cu * Yu
-    Yd = Gd.sum(axis=2) + scale * draw_cn(rng, (B, L, M, K_d))
-    Ghd = cd * Yd
-    if not tdd_pilots:
-        # Full-duplex training: one shared pilot per FD user.
-        Ghd[..., :K_f] = Ghu[..., :K_f]
-    out["Ghu"] = Ghu
-    out["Ghd"] = Ghd
-    out["Eps"] = Gu[:, jj, jj] - Ghu
-    return out
+
+    def _span(self, d):
+        """Each BS's combiners and the precoders not among them, (B, L, r, D).
+
+        An FD user's precoder is its combiner, unless TDD pilots estimate
+        its two directions separately.
+        """
+        if self.mmse is None:
+            jj = np.arange(self.profile.L)
+            W, pre = d["Gu"][:, jj, jj], d["Gd"][:, jj, jj]
+        else:
+            W, pre = d["Ghu"], d["Ghd"]
+        if self.mmse is None or not self.tdd_pilots:
+            pre = pre[..., self.profile.K_f:]
+        return np.concatenate([W, pre], axis=-1)
+
+    def draw(self, rng, B):
+        """A batch of B coherence blocks: keys Gu, Gd, F, and with estimation
+        Ghu, Ghd, Eps, shaped as in the M-vector model with r for M."""
+        p, Q, r = self.profile, self.basis, self.r
+        L, S, D = Q.shape
+        R0 = np.triu(draw_cn(rng, (B, L, r, D)), 1)
+        idx = np.arange(r)
+        R0[..., idx, idx] = np.sqrt(rng.gamma(self.cfg.M - idx, size=(B, L, r)))
+        fresh = draw_cn(rng, (B, L, r, S))
+        T = (R0 - fresh @ Q) @ Q.swapaxes(1, 2) + fresh
+        out = self._assemble(T)
+        out["F"] = draw_cn(rng, (B, L, p.K_d, L, p.K_u)) * np.sqrt(p.beta_I)
+        return out
 
 
 def _batch_ul_logrates(d, profile, cfg, factors, system, csi, rng):
     """log2(1+SINR) for every uplink user in a batch; shape (B, L, K_u)."""
     L, K_u, K_d = profile.L, profile.K_u, profile.K_d
-    B = d["Gu"].shape[0]
+    B, r = d["Gu"].shape[0], d["Gu"].shape[3]
     out = np.empty((B, L, K_u))
     imperfect = csi == "imperfect"
     if system == "fd":
-        Z = draw_cn(rng, (B, L, L, cfg.M, K_u))
+        Z = draw_cn(rng, (B, L, L, r, K_u))
         coef_dl = cfg.P_d / (K_d * (factors.gamma_tilde if imperfect else factors.gamma))
         pre = d["Ghd"] if imperfect else d["Gd"][:, np.arange(L), np.arange(L)]
     for j in range(L):
         W = d["Ghu"][:, j] if imperfect else d["Gu"][:, j, j]        # (B, M, K_u)
         nrm2 = np.einsum("bmn,bmn->bn", W.conj(), W).real             # (B, K_u)
-        Gall = np.moveaxis(d["Gu"][:, j], 1, 2).reshape(B, cfg.M, L * K_u)
+        Gall = np.moveaxis(d["Gu"][:, j], 1, 2).reshape(B, r, L * K_u)
         P = np.einsum("bmn,bmx->bnx", W.conj(), Gall)
         own = P[:, np.arange(K_u), j * K_u + np.arange(K_u)]
         cross = (np.abs(P) ** 2).sum(axis=2) - np.abs(own) ** 2
@@ -325,13 +421,19 @@ def _batch_dl_logrates(d, profile, cfg, factors, system, csi):
 
 
 def _mc_rates(profile, cfg, system, csi, trials, seed, batch=64):
+    _check_mode(system, csi)
     res = validate(cfg)
     if not res.ok:
         raise ValueError("invalid config: " + "; ".join(res.violations))
+    for name in ("L", "K_f", "K_u", "K_d"):
+        if getattr(cfg, name) != getattr(profile, name):
+            raise ValueError(f"config and profile disagree on {name}: "
+                             f"{getattr(cfg, name)} != {getattr(profile, name)}")
     need_est = csi == "imperfect"
     do_dl = not (system == "fd" and csi == "imperfect")
     L, K_u, K_d = profile.L, profile.K_u, profile.K_d
     factors = per_cell_factors(profile, cfg)
+    sampler = _TrialSampler(profile, cfg, need_est, tdd_pilots=(system == "tdd"))
     sum_u = np.zeros((L, K_u)); sq_u = np.zeros((L, K_u))
     sum_d = np.zeros((L, K_d)); sq_d = np.zeros((L, K_d))
     done = 0
@@ -340,7 +442,7 @@ def _mc_rates(profile, cfg, system, csi, trials, seed, batch=64):
         B = min(batch, trials - done)
         rng = trial_rng(seed, t)
         t += 1
-        d = _draw_trials(profile, cfg, rng, B, need_est, tdd_pilots=(system == "tdd"))
+        d = sampler.draw(rng, B)
         lu = _batch_ul_logrates(d, profile, cfg, factors, system, csi, rng)
         sum_u += lu.sum(axis=0); sq_u += (lu ** 2).sum(axis=0)
         if do_dl:
@@ -369,12 +471,6 @@ def fd_rates_mc(profile, cfg, trials, seed, csi="perfect", batch=64) -> RateRepo
 def tdd_rates_mc(profile, cfg, csi, trials, seed, batch=64) -> RateReport:
     """TDD baseline rates, Monte Carlo with no lower-bounding."""
     return _mc_rates(profile, cfg, "tdd", csi, trials, seed, batch)
-
-
-def ul_rate_fd_imperfect_mc(profile, cfg, trials, seed, batch=64):
-    """Uplink rates of the full-duplex system under imperfect CSI (MC only)."""
-    rep = fd_rates_mc(profile, cfg, trials, seed, csi="imperfect", batch=batch)
-    return rep.ul_rates, rep.ul_stderr
 
 
 # ---------------------------------------------------------------------------

@@ -161,3 +161,19 @@ def test_trial_rng_accepts_seedsequence():
     a = trial_rng(ss, 3).standard_normal(4)
     b = trial_rng(ss, 3).standard_normal(4)
     np.testing.assert_array_equal(a, b)
+
+
+class _NoDraws(np.random.Generator):
+    """A generator that fails on the first draw, so a sampling loop that
+    cannot end fails instead of hanging."""
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("drew from the generator")
+
+
+@pytest.mark.parametrize("min_bs_ue", [40.0, 50.0])
+def test_empty_ue_annulus_raises_before_drawing(min_bs_ue):
+    with pytest.raises(TopologyError, match="min_bs_ue"):
+        build_topology(_NoDraws(np.random.PCG64(0)), n_bs=12, hex_radius=300.0,
+                       n_ul_per_bs=5, n_dl_per_bs=5, ue_drop_radius=40.0,
+                       min_bs_ue=min_bs_ue)

@@ -166,3 +166,18 @@ def test_config_digest_stable_and_sensitive():
     assert config_digest(cfg) == config_digest(base_cfg())
     assert config_digest(cfg) != config_digest(base_cfg(M=17))
     assert len(config_digest(cfg)) == 16
+
+
+@pytest.mark.parametrize("name", ["P_u", "P_d", "P_tr", "sigma2", "sigma2_dl",
+                                  "kappa"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_validate_rejects_non_finite(name, value):
+    res = validate(base_cfg(**{name: value}))
+    assert not res.ok
+    assert any(v.startswith(name) for v in res.violations)
+
+
+def test_validate_rejects_no_downlink_users():
+    res = validate(base_cfg(K_f=0, K_h_d=0))
+    assert not res.ok
+    assert any(v.startswith("K_d") for v in res.violations)

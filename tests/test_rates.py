@@ -8,7 +8,7 @@ from fdmimo import (SystemConfig, dl_rates_fd_imperfect, fd_rates_mc,
 from fdmimo.bounds import prop2_rates
 from fdmimo.channel import realize_channels, trial_rng
 from fdmimo.estimation import estimate_all
-from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates,
+from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _mc_rates,
                           dl_sinr_fd_perfect, per_cell_factors,
                           ul_sinr_fd_imperfect, ul_sinr_fd_perfect)
 
@@ -176,3 +176,26 @@ def test_report_se_and_serialization(tmp_path, small_profile, small_config):
     rep.to_json(json_path)
     data = json.loads(json_path.read_text())
     assert data["csi"] == "imperfect" and len(data["rows"]) == len(rows)
+
+
+@pytest.mark.parametrize("system,csi", [("fd", "imperfekt"), ("tdd", "Perfect"),
+                                        ("hd", "perfect")])
+def test_unknown_mode_strings_rejected(small_profile, small_config, system, csi):
+    with pytest.raises(ValueError, match="must be one of"):
+        overheads(small_config, system, csi)
+    with pytest.raises(ValueError, match="must be one of"):
+        _mc_rates(small_profile, small_config, system, csi, 8, 0)
+
+
+def test_tdd_rejects_misspelt_csi(small_profile, small_config):
+    with pytest.raises(ValueError, match="csi must be one of"):
+        tdd_rates_mc(small_profile, small_config, "imperfekt", 8, 0)
+
+
+@pytest.mark.parametrize("kw", [dict(L=2), dict(L=4),
+                                dict(K_f=1, K_h_u=2, K_h_d=3),
+                                dict(K_h_u=2), dict(K_h_d=1)])
+def test_config_profile_mismatch_rejected(small_profile, small_config, kw):
+    cfg = small_config.replace(tau=None, tau_u=None, tau_d=None, **kw)
+    with pytest.raises(ValueError, match="disagree"):
+        fd_rates_mc(small_profile, cfg, 8, 0)
