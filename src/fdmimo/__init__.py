@@ -10,23 +10,20 @@ from .bounds import (GainReport, TradeoffPoint, antenna_reduction_curve,
                      asymptotic_gain_limits, asymptotic_rates,
                      closed_form_report, fd_gain, homogeneous_rates,
                      prop1_rates, prop2_rates, wishart_inverse_moments)
-from .channel import (ChannelRealization, PathlossModel, Topology,
-                      TopologyError, build_topology, compose_large_scale,
-                      realize_channels, sample_hexagon, trial_rng)
+from .channel import (PathlossModel, Topology, TopologyError, build_topology,
+                      compose_large_scale, sample_hexagon, trial_rng)
 from .config import (HomogeneousConfig, LargeScaleProfile,
                      PowerScalingSchedule, SystemConfig, ValidationResult,
                      config_digest, db_to_linear, dbm_to_watt,
                      expand_homogeneous, load_system_config,
                      system_config_from_dict, validate)
-from .estimation import (ChannelEstimateSet, EstimationStats, estimate_all,
-                         estimation_stats, mmse_estimate,
-                         training_observation)
+from .estimation import EstimationStats, estimation_stats
 from .experiments import (ExperimentResult, emit, experiment_gain_vs_M,
                           experiment_gain_vs_kappa, experiment_power_scaling,
                           experiment_rates, experiment_tightness,
                           experiment_tradeoff, reference_schedule)
-from .rates import (RateReport, dl_effective_moments, dl_rates_fd_imperfect,
-                    fd_rates_mc, overheads, tdd_rates_mc)
+from .rates import (RateReport, dl_rates_fd_imperfect, fd_rates_mc, overheads,
+                    tdd_rates_mc)
 from .scenario import (ScenarioParams, load_scenario, profile_from_topology,
                        run_drop, scenario_params_from_dict)
 

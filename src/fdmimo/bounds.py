@@ -16,7 +16,8 @@ import numpy as np
 from .config import (HomogeneousConfig, LargeScaleProfile, PowerScalingSchedule,
                      SystemConfig, expand_homogeneous)
 from .estimation import estimation_stats
-from .rates import PerCellFactors, RateReport, overheads, per_cell_factors
+from .rates import (RateReport, _check_mode, dl_rates_fd_imperfect, overheads,
+                    per_cell_factors, ue_interference)
 
 
 def _require_m3(cfg: SystemConfig):
@@ -24,109 +25,66 @@ def _require_m3(cfg: SystemConfig):
         raise ValueError("closed-form lower bounds require M >= 3")
 
 
+def _bs_interference(profile: LargeScaleProfile, cfg: SystemConfig,
+                     system: str):
+    """Mean BS-BS interference plus residual self-interference at each BS,
+    (L, 1); TDD has none."""
+    if system == "tdd":
+        return 0.0
+    bb, own = profile.beta_b, np.diag(profile.beta_b)
+    return (cfg.P_d * (bb.sum(axis=1) - own) + cfg.kappa * cfg.P_d * own)[:, None]
+
+
 def prop1_rates(profile: LargeScaleProfile, cfg: SystemConfig,
-                factors: PerCellFactors | None = None, system: str = "fd"):
+                system: str = "fd"):
     """Jensen lower bounds on the ergodic rates under perfect CSI.
 
     Returns (ul, dl) arrays of shape (L, K_u) and (L, K_d).
     """
+    _check_mode(system=system)
     _require_m3(cfg)
-    if factors is None:
-        factors = per_cell_factors(profile, cfg)
-    L, K_u, K_d, K_f, M = profile.L, profile.K_u, profile.K_d, profile.K_f, cfg.M
-    fd = system == "fd"
-    jj = np.arange(L)
-    bu, bd, bb, bI = profile.beta_u, profile.beta_d, profile.beta_b, profile.beta_I
+    M, jj = cfg.M, np.arange(profile.L)
+    bu, bd = profile.beta_u, profile.beta_d
+    own_u, own_d = bu[jj, jj], bd[jj, jj]                       # (L, K)
 
-    ul = np.empty((L, K_u))
-    for j in range(L):
-        for n in range(K_u):
-            I_up = cfg.P_u * (bu[j].sum() - bu[j, j, n])
-            if fd:
-                I_up += cfg.P_d * (bb[j].sum() - bb[j, j])
-            kap = cfg.kappa * cfg.P_d * bb[j, j] if fd else 0.0
-            num = cfg.P_u * (M - 1) * bu[j, j, n]
-            ul[j, n] = np.log2(1.0 + num / (I_up + cfg.sigma2 + kap))
+    I_up = cfg.P_u * (bu.sum(axis=(1, 2))[:, None] - own_u)
+    num = cfg.P_u * (M - 1) * own_u
+    ul = np.log2(1.0 + num / (I_up + _bs_interference(profile, cfg, system)
+                              + cfg.sigma2))
 
-    dl = np.empty((L, K_d))
-    for l in range(L):
-        eta = factors.eta[l]
-        for k in range(K_d):
-            I_down = eta * cfg.P_d * (M - 2) * bd[l, l, k] * (bd[l, l].sum() - bd[l, l, k])
-            I_down += cfg.P_d * (bd[:, l, k].sum() - bd[l, l, k])
-            if fd:
-                I_down += cfg.P_u * bI[l, k].sum()
-                if k < K_f:
-                    # own UE-UE term removed by SI cancellation, residual noise stays
-                    I_down -= cfg.P_u * bI[l, k, l, k]
-                    I_down += cfg.kappa * cfg.P_u * bI[l, k, l, k]
-            num = eta * cfg.P_d * (M - 1) * (M - 2) * bd[l, l, k] ** 2
-            dl[l, k] = np.log2(1.0 + num / (I_down + cfg.sigma2_dl))
+    eta = per_cell_factors(profile, cfg).eta[:, None]
+    I_down = eta * cfg.P_d * (M - 2) * own_d * (own_d.sum(axis=1, keepdims=True) - own_d)
+    I_down += cfg.P_d * (bd.sum(axis=0) - own_d)
+    I_down += ue_interference(profile, cfg, system)
+    num = eta * cfg.P_d * (M - 1) * (M - 2) * own_d ** 2
+    dl = np.log2(1.0 + num / (I_down + cfg.sigma2_dl))
     return ul, dl
 
 
 def prop2_rates(profile: LargeScaleProfile, cfg: SystemConfig,
-                factors: PerCellFactors | None = None, system: str = "fd"):
-    """Lower bounds on the ergodic rates under MMSE-estimated CSI."""
+                system: str = "fd"):
+    """Lower bounds on the ergodic rates under MMSE-estimated CSI.
+
+    The downlink is :func:`fdmimo.rates.dl_rates_fd_imperfect`, the bound
+    the Monte Carlo driver also reports.
+    """
+    _check_mode(system=system)
     _require_m3(cfg)
-    if factors is None:
-        factors = per_cell_factors(profile, cfg)
-    st = estimation_stats(profile, cfg)
-    L, K_u, K_d, K_f, M = profile.L, profile.K_u, profile.K_d, profile.K_f, cfg.M
-    fd = system == "fd"
-    P_u, P_d, P_tr, s2 = cfg.P_u, cfg.P_d, cfg.P_tr, cfg.sigma2
-    bu, bd, bb, bI = profile.beta_u, profile.beta_d, profile.beta_b, profile.beta_I
-    eta_t = factors.eta_tilde
-    lam_u, lam_d = st.lam_u, st.lam_d
+    M, P_u, P_tr, s2 = cfg.M, cfg.P_u, cfg.P_tr, cfg.sigma2
+    jj = np.arange(profile.L)
+    bu = profile.beta_u                                         # (j, l, n)
+    lam_u = estimation_stats(profile, cfg).lam_u                # (j, n)
+    own = bu[jj, jj]
+    pilot = bu.sum(axis=1)                                      # sum_l bu[j, l, n]
 
-    ul = np.empty((L, K_u))
-    for j in range(L):
-        for n in range(K_u):
-            b_own = bu[j, j, n]
-            contam = bu[j, :, n].sum() - b_own
-            est_err = P_u * b_own * (s2 + P_tr * contam)
-            I_up = 0.0
-            for l in range(L):
-                if l == j:
-                    continue
-                b = bu[j, l, n]
-                I_up += P_tr * P_u * ((M + 1) * b ** 2
-                                      + (bu[j, :, n].sum() - b) * b
-                                      + b * s2 / P_tr)
-            other = P_u * (bu[j].sum() - bu[j, :, n].sum())
-            if fd:
-                other += P_d * (bb[j].sum() - bb[j, j])
-                other += cfg.kappa * P_d * bb[j, j]
-            N_t = lam_u[j, n] * (other + s2)
-            num = P_tr * P_u * (M - 1) * b_own ** 2
-            ul[j, n] = np.log2(1.0 + num / (est_err + I_up + N_t))
-
-    dl = np.empty((L, K_d))
-    for l in range(L):
-        for k in range(K_d):
-            b_own = bd[l, l, k]
-            I_dn = eta_t[l] * P_d * b_own ** 3 / lam_d[l, k]
-            for j in range(L):
-                if j == l:
-                    continue
-                b = bd[j, l, k]
-                I_dn += eta_t[j] * P_tr * P_d * (M + 1) * b ** 2 * bd[j, j, k] ** 2 \
-                    / lam_d[j, k] ** 2
-                I_dn += eta_t[j] * P_d * bd[j, j, k] ** 2 \
-                    * (s2 + P_tr * (bd[j, :, k].sum() - b)) * b / lam_d[j, k] ** 2
-            for j in range(L):
-                for i in range(K_d):
-                    if i == k:
-                        continue
-                    I_dn += eta_t[j] * P_d * bd[j, j, i] ** 2 * bd[j, l, k] / lam_d[j, i]
-            if fd:
-                I_dn += P_u * bI[l, k].sum()
-                if k < K_f:
-                    I_dn -= P_u * bI[l, k, l, k]
-                    I_dn += cfg.kappa * P_u * bI[l, k, l, k]
-            num = eta_t[l] * P_tr * P_d * M * b_own ** 4 / lam_d[l, k] ** 2
-            dl[l, k] = np.log2(1.0 + num / (I_dn + cfg.sigma2_dl))
-    return ul, dl
+    est_err = P_u * own * (s2 + P_tr * (pilot - own))
+    contam = P_tr * P_u * ((M + 1) * bu ** 2 + (pilot[:, None] - bu) * bu + bu * s2 / P_tr)
+    contam[jj, jj] = 0.0
+    other = P_u * (bu.sum(axis=(1, 2))[:, None] - pilot)
+    N_t = lam_u * (other + _bs_interference(profile, cfg, system) + s2)
+    num = P_tr * P_u * (M - 1) * own ** 2
+    ul = np.log2(1.0 + num / (est_err + contam.sum(axis=1) + N_t))
+    return ul, dl_rates_fd_imperfect(profile, cfg, system)
 
 
 def closed_form_report(profile, cfg, csi, system="fd") -> RateReport:
@@ -147,6 +105,7 @@ def homogeneous_rates(h: HomogeneousConfig, csi: str, M: int | None = None):
     These are the algebraically reduced forms of the Proposition bounds; the
     reduction identity is checked against prop1/prop2 in the test suite.
     """
+    _check_mode(csi=csi)
     M = h.M if M is None else M
     L, K, beta = h.L, h.K, h.beta
     P_u, P_d, P_tr, kap, T, tau = h.P_u, h.P_d, h.P_tr, h.kappa, h.T, h.tau
@@ -193,15 +152,10 @@ def asymptotic_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     ul = np.log2(1.0 + E_tr * E_u * bu_own ** 2
                  / (E_tr * E_u * contam_u + s2 ** 2))
     Z = (bd_own ** 2).sum(axis=1) / s2                            # (L,)
-    K_d = profile.K_d
-    dl = np.empty((L, K_d))
-    for l in range(L):
-        for k in range(K_d):
-            contam = sum(E_tr * E_d * profile.beta_d[j, j, k] ** 2
-                         * profile.beta_d[j, l, k] ** 2 / Z[j]
-                         for j in range(L) if j != l)
-            dl[l, k] = np.log2(1.0 + E_tr * E_d * profile.beta_d[l, l, k] ** 4
-                               / (Z[l] * (contam + s2 ** 3)))
+    contam = E_tr * E_d * (bd_own ** 2 / Z[:, None])[:, None, :] * profile.beta_d ** 2
+    contam[jj, jj] = 0.0                                          # sum_{j!=l}
+    dl = np.log2(1.0 + E_tr * E_d * bd_own ** 4
+                 / (Z[:, None] * (contam.sum(axis=0) + s2 ** 3)))
     return ul, dl
 
 
@@ -218,6 +172,7 @@ class GainReport:
 
 
 def asymptotic_gain_limits(cfg: SystemConfig, csi: str) -> tuple[float, float]:
+    _check_mode(csi=csi)
     if csi == "perfect":
         return 2.0, 2.0
     return (2.0 * (1.0 - cfg.K_h_d / (cfg.T - cfg.K_u)),
@@ -283,8 +238,9 @@ def antenna_reduction_curve(h: HomogeneousConfig, M_tdd_list, csi: str,
             g_eq = _fd_sum_se(h, csi, M_tdd) / se_tdd
             target_gains = np.linspace(1.0, g_eq, 8)
         for g in target_gains:
-            target = g * se_tdd
-            if _fd_sum_se(h, csi, M_max) < target:
+            # Gains, not SEs, are compared: at g = g_eq the gain at M_tdd is
+            # the same float, so M_fd = M_tdd whatever the rounding.
+            if _fd_sum_se(h, csi, M_max) / se_tdd < g:
                 points.append(TradeoffPoint(M_tdd=M_tdd, M_fd=M_max, se_gain=g,
                                             antenna_reduction=M_tdd / M_max,
                                             reachable=False))
@@ -293,7 +249,7 @@ def antenna_reduction_curve(h: HomogeneousConfig, M_tdd_list, csi: str,
             # rates are monotone nondecreasing in M; bisect for the minimum
             while lo < hi:
                 mid = (lo + hi) // 2
-                if _fd_sum_se(h, csi, mid) >= target:
+                if _fd_sum_se(h, csi, mid) / se_tdd >= g:
                     hi = mid
                 else:
                     lo = mid + 1

@@ -1,4 +1,5 @@
-"""Geometry, pathloss and small-scale channel generation.
+"""Geometry, pathloss, and the CN(0, 1) draws and per-trial random streams
+of the Monte Carlo engine.
 
 Pathloss constants are configuration data: the defaults in
 :mod:`fdmimo.scenario` follow 3GPP TR 36.828-style small-cell models, but any
@@ -8,11 +9,9 @@ Pathloss constants are configuration data: the defaults in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .config import LargeScaleProfile, SystemConfig
 
 LINK_CLASSES = ("BS_UE", "BS_BS", "UE_UE", "SELF")
 
@@ -155,43 +154,9 @@ def build_topology(rng, n_bs: int, hex_radius: float,
                     region_radius=hex_radius)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One coherence-block draw of every small-scale channel.
-
-    G_u[j, l]  M x K_u  uplink users of cell l seen at BS j.
-    G_d[j, l]  M x K_d  downlink users of cell l seen at BS j.
-    V[j, l]    M x M    BS l seen at BS j (diagonal block: SI channel).
-    F[l, :, j, :]  K_d x K_u  uplink users of cell j at downlink users of cell l.
-    """
-
-    G_u: np.ndarray     # (L, L, M, K_u)
-    G_d: np.ndarray     # (L, L, M, K_d)
-    V: np.ndarray       # (L, L, M, M)
-    F: np.ndarray       # (L, K_d, L, K_u)
-    K_f: int
-
-
 def draw_cn(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. circularly-symmetric CN(0,1) samples."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-
-
-def realize_channels(profile: LargeScaleProfile, rng, M: int) -> ChannelRealization:
-    """Draw all channel matrices for one coherence block.
-
-    Deterministic for a given rng seed.  Full-duplex users' same-cell uplink
-    and downlink columns are copies of each other (reciprocity), not redrawn.
-    """
-    rng = np.random.default_rng(rng)
-    L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
-    G_u = draw_cn(rng, (L, L, M, K_u)) * np.sqrt(profile.beta_u[:, :, None, :])
-    G_d = draw_cn(rng, (L, L, M, K_d)) * np.sqrt(profile.beta_d[:, :, None, :])
-    for j in range(L):
-        G_d[j, j, :, :K_f] = G_u[j, j, :, :K_f]
-    V = draw_cn(rng, (L, L, M, M)) * np.sqrt(profile.beta_b[:, :, None, None])
-    F = draw_cn(rng, (L, K_d, L, K_u)) * np.sqrt(profile.beta_I)
-    return ChannelRealization(G_u=G_u, G_d=G_d, V=V, F=F, K_f=K_f)
 
 
 def trial_rng(seed, trial: int) -> np.random.Generator:

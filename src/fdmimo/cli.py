@@ -133,17 +133,7 @@ def main(argv=None) -> int:
     except (ValueError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out == "-":
-        import os
-        import tempfile
-        fd, tmp = tempfile.mkstemp(suffix="." + args.format)
-        os.close(fd)
-        emit(res, args.format, tmp)
-        with open(tmp) as fh:
-            sys.stdout.write(fh.read())
-        os.unlink(tmp)
-    else:
-        emit(res, args.format, args.out)
+    emit(res, args.format, sys.stdout if args.out == "-" else args.out)
     return 0
 
 

@@ -8,6 +8,7 @@ on load.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -277,8 +278,6 @@ def load_system_config(path) -> SystemConfig:
 
 def config_digest(obj) -> str:
     """Stable hex digest of any JSON-serializable configuration object."""
-    import hashlib
-
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = dataclasses.asdict(obj)
     blob = json.dumps(obj, sort_keys=True, default=_json_default).encode()

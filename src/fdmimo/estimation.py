@@ -1,4 +1,5 @@
-"""Uplink pilot training with cross-cell pilot reuse and MMSE estimation.
+"""Second-order statistics of MMSE channel estimation from uplink pilots
+with cross-cell pilot reuse.
 
 Pilot assignment: slot n (n < K_u) carries uplink user n, with full-duplex
 users in the first K_f slots so the same pilot also yields the downlink
@@ -6,8 +7,9 @@ precoding channel.  Half-duplex downlink user k (k >= K_f) uses slot
 K_u + (k - K_f).  Every cell reuses the same slots, and reception is
 synchronized across cells (worst-case pilot contamination).
 
-The post-correlation observation is simulated directly; it is statistically
-identical to transmitting symbol-level pilot matrices.
+The Monte Carlo sampler (:mod:`fdmimo.rates`) draws the post-correlation
+observations, which is statistically identical to transmitting symbol-level
+pilot matrices; the closed forms use only the statistics below.
 """
 
 from __future__ import annotations
@@ -16,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, draw_cn
 from .config import LargeScaleProfile, SystemConfig
-
-
-def pilot_slot_ul(n: int) -> int:
-    return n
-
-
-def pilot_slot_dl(k: int, K_f: int, K_u: int) -> int:
-    return k if k < K_f else K_u + (k - K_f)
 
 
 @dataclass(frozen=True)
@@ -61,76 +54,3 @@ def estimation_stats(profile: LargeScaleProfile, cfg: SystemConfig) -> Estimatio
     lam_u, est_u, err_u = stats(profile.beta_u)
     lam_d, est_d, err_d = stats(profile.beta_d)
     return EstimationStats(lam_u, est_u, err_u, lam_d, est_d, err_d)
-
-
-def training_observation(real: ChannelRealization, cfg: SystemConfig,
-                         j: int, slot: int, rng) -> np.ndarray:
-    """Post-correlation training observation at BS j for one pilot slot.
-
-    Returns g_jj + sum_{l != j} g_jl + n / sqrt(P_tr) with n ~ CN(0, s2 I);
-    the contaminating sum runs over the same slot in every other cell.
-    """
-    K_u, K_f = real.G_u.shape[3], real.K_f
-    K_d = real.G_d.shape[3]
-    if slot < K_u:
-        cols = real.G_u[j, :, :, slot]
-    elif slot < K_u + (K_d - K_f):
-        cols = real.G_d[j, :, :, K_f + (slot - K_u)]
-    else:
-        raise IndexError(f"pilot slot {slot} out of range")
-    rng = np.random.default_rng(rng)
-    noise = draw_cn(rng, cols.shape[1]) * np.sqrt(cfg.sigma2)
-    return cols.sum(axis=0) + noise / np.sqrt(cfg.P_tr)
-
-
-def mmse_estimate(y_tr: np.ndarray, cfg: SystemConfig,
-                  betas: np.ndarray, serving: int):
-    """MMSE estimate of the serving-cell channel from a training observation.
-
-    betas holds the large-scale gains of every cell sharing the pilot, seen at
-    the estimating BS; ``serving`` indexes the served user's entry.
-    Returns (g_hat, lam, est_var, err_var).
-    """
-    betas = np.asarray(betas, dtype=float)
-    if np.any(betas <= 0):
-        raise ValueError("large-scale gains must be strictly positive")
-    lam = cfg.sigma2 + cfg.P_tr * betas.sum()
-    b = betas[serving]
-    g_hat = (cfg.P_tr * b / lam) * y_tr
-    est_var = cfg.P_tr * b ** 2 / lam
-    err_var = b * (cfg.sigma2 + cfg.P_tr * (betas.sum() - b)) / lam
-    return g_hat, lam, est_var, err_var
-
-
-@dataclass(frozen=True)
-class ChannelEstimateSet:
-    """MMSE estimates for all serving-cell channels of one realization.
-
-    g_hat_u[j, :, n] estimates G_u[j, j, :, n]; g_hat_d likewise.  For
-    full-duplex users the uplink and downlink estimates are the same vector
-    (single shared pilot plus reciprocity).
-    """
-
-    g_hat_u: np.ndarray       # (L, M, K_u)
-    g_hat_d: np.ndarray       # (L, M, K_d)
-    stats: EstimationStats
-
-
-def estimate_all(real: ChannelRealization, profile: LargeScaleProfile,
-                 cfg: SystemConfig, rng) -> ChannelEstimateSet:
-    """Run training and MMSE estimation for every cell and user."""
-    rng = np.random.default_rng(rng)
-    L, K_u, K_f = profile.L, profile.K_u, real.K_f
-    K_d, M = profile.K_d, real.G_u.shape[2]
-    st = estimation_stats(profile, cfg)
-    g_hat_u = np.empty((L, M, K_u), dtype=complex)
-    g_hat_d = np.empty((L, M, K_d), dtype=complex)
-    for j in range(L):
-        for n in range(K_u):
-            y = training_observation(real, cfg, j, pilot_slot_ul(n), rng)
-            g_hat_u[j, :, n] = (cfg.P_tr * profile.beta_u[j, j, n] / st.lam_u[j, n]) * y
-        g_hat_d[j, :, :K_f] = g_hat_u[j, :, :K_f]
-        for k in range(K_f, K_d):
-            y = training_observation(real, cfg, j, pilot_slot_dl(k, K_f, K_u), rng)
-            g_hat_d[j, :, k] = (cfg.P_tr * profile.beta_d[j, j, k] / st.lam_d[j, k]) * y
-    return ChannelEstimateSet(g_hat_u=g_hat_u, g_hat_d=g_hat_d, stats=st)

@@ -9,6 +9,7 @@ here.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,30 +34,38 @@ class ExperimentResult:
 
 
 def emit(result: ExperimentResult, fmt: str, path) -> None:
-    """Write result rows (plus aggregates) as CSV or JSON, deterministically."""
+    """Write result rows (plus aggregates) as CSV or JSON, deterministically.
+
+    ``path`` is a file path or an open text stream; both get the same
+    characters (CSV rows end in CRLF).
+    """
     rows = [dict(r, experiment=result.experiment,
                  config_digest=result.config_digest, seed=result.seed)
             for r in result.rows + result.aggregates]
+    buf = io.StringIO(newline="")
     if fmt == "csv":
         lead = ["experiment", "config_digest", "seed"]
         keys = lead + sorted({k for r in rows for k in r} - set(lead))
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=keys, restval="")
-            w.writeheader()
-            for r in rows:
-                w.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
-                            for k, v in r.items()})
+        w = csv.DictWriter(buf, fieldnames=keys, restval="")
+        w.writeheader()
+        for r in rows:
+            w.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
+                        for k, v in r.items()})
     elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump({"experiment": result.experiment,
-                       "config_digest": result.config_digest,
-                       "seed": result.seed,
-                       "rows": result.rows,
-                       "aggregates": result.aggregates},
-                      fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        json.dump({"experiment": result.experiment,
+                   "config_digest": result.config_digest,
+                   "seed": result.seed,
+                   "rows": result.rows,
+                   "aggregates": result.aggregates},
+                  buf, indent=1, sort_keys=True)
+        buf.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    if hasattr(path, "write"):
+        path.write(buf.getvalue())
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(buf.getvalue())
 
 
 def _sum_se(rep: RateReport):

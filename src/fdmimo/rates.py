@@ -1,10 +1,13 @@
-"""Instantaneous SINRs and Monte Carlo ergodic rates.
+"""Monte Carlo ergodic rates and the analytic estimated-CSI downlink.
 
 Uplink uses maximum ratio combining; downlink uses conjugate beamforming.
 All interference is treated as noise.  The full-duplex downlink rate under
-imperfect CSI is a deterministic expression in channel moments and is
-evaluated analytically (see :func:`dl_rates_fd_imperfect`); everything else is
-averaged over channel realizations.
+imperfect CSI is the use-and-then-forget bound, a closed form in the
+large-scale gains (:func:`dl_rates_fd_imperfect`); it is also the downlink
+of :func:`fdmimo.bounds.prop2_rates`.  Everything else is averaged over
+channel realizations by batched SINR kernels.  The per-user loop forms of
+the SINRs and the M-vector channel model they start from are test oracles
+in ``tests/reference.py``.
 
 The Monte Carlo engine never draws an M-vector.  Every inner product the SINR
 kernels form pairs a vector at some BS j with one of BS j's span vectors: its
@@ -40,16 +43,14 @@ those of the M-vector model.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, draw_cn, trial_rng
+from .channel import draw_cn, trial_rng
 from .config import LargeScaleProfile, SystemConfig, validate
-from .estimation import ChannelEstimateSet, estimation_stats
+from .estimation import estimation_stats
 
 
 @dataclass(frozen=True)
@@ -73,98 +74,6 @@ def per_cell_factors(profile: LargeScaleProfile, cfg: SystemConfig) -> PerCellFa
     return PerCellFactors(gamma=gamma, gamma_tilde=gamma_tilde,
                           eta=1.0 / (cfg.M * beta_own.sum(axis=1)),
                           eta_tilde=1.0 / s)
-
-
-# ---------------------------------------------------------------------------
-# Single-realization SINRs (reference implementations, loop-based)
-# ---------------------------------------------------------------------------
-
-def ul_sinr_fd_perfect(real: ChannelRealization, cfg: SystemConfig,
-                       factors: PerCellFactors, profile: LargeScaleProfile,
-                       j: int, n: int) -> float:
-    """Uplink SINR of user n at BS j with perfect CSI and MRC."""
-    g = real.G_u[j, j, :, n]
-    nrm2 = float(np.vdot(g, g).real)
-    if nrm2 == 0.0:
-        raise ZeroDivisionError("zero-norm channel vector")
-    num = cfg.P_u * nrm2 ** 2
-    cross = 0.0
-    L, K_u, K_d = profile.L, profile.K_u, profile.K_d
-    for l in range(L):
-        for m in range(K_u):
-            if (l, m) == (j, n):
-                continue
-            cross += abs(np.vdot(g, real.G_u[j, l, :, m])) ** 2
-    bsbs = 0.0
-    for l in range(L):
-        if l == j:
-            continue
-        coef = cfg.P_d / (K_d * factors.gamma[l])
-        for k in range(K_d):
-            bsbs += coef * abs(g.conj() @ real.V[j, l] @ real.G_d[l, l, :, k].conj()) ** 2
-    noise = nrm2 * (cfg.sigma2 + cfg.kappa * cfg.P_d * profile.beta_b[j, j])
-    return num / (cfg.P_u * cross + bsbs + noise)
-
-
-def dl_sinr_fd_perfect(real: ChannelRealization, cfg: SystemConfig,
-                       factors: PerCellFactors, profile: LargeScaleProfile,
-                       l: int, k: int, user_class: str) -> float:
-    """Downlink SINR of user k in cell l; user_class is "FD" or "HD"."""
-    K_f, K_d, K_u, L = real.K_f, profile.K_d, profile.K_u, profile.L
-    if user_class == "FD" and not k < K_f:
-        raise IndexError("FD class requires k < K_f")
-    if user_class == "HD" and not K_f <= k < K_d:
-        raise IndexError("HD class requires K_f <= k < K_d")
-    g = real.G_d[l, l, :, k]
-    nrm2 = float(np.vdot(g, g).real)
-    if nrm2 == 0.0:
-        raise ZeroDivisionError("zero-norm channel vector")
-    num = cfg.P_d / (K_d * factors.gamma[l]) * nrm2 ** 2
-    cross = 0.0
-    for j in range(L):
-        coef = cfg.P_d / (K_d * factors.gamma[j])
-        for i in range(K_d):
-            if (j, i) == (l, k):
-                continue
-            cross += coef * abs(real.G_d[j, l, :, k] @ real.G_d[j, j, :, i].conj()) ** 2
-    ue = 0.0
-    for j in range(L):
-        for n in range(K_u):
-            if user_class == "FD" and (j, n) == (l, k):
-                continue        # own term cancelled by UE self-interference removal
-            ue += cfg.P_u * abs(real.F[l, k, j, n]) ** 2
-    if user_class == "FD":
-        noise = cfg.sigma2_dl + cfg.kappa * cfg.P_u * profile.beta_I[l, k, l, k]
-    else:
-        noise = cfg.sigma2_dl
-    return num / (cross + ue + noise)
-
-
-def ul_sinr_fd_imperfect(real: ChannelRealization, est: ChannelEstimateSet,
-                         cfg: SystemConfig, factors: PerCellFactors,
-                         profile: LargeScaleProfile, j: int, n: int) -> float:
-    """Uplink SINR with MMSE estimates treated as the true channel."""
-    gh = est.g_hat_u[j, :, n]
-    eps = real.G_u[j, j, :, n] - gh
-    nrm2 = float(np.vdot(gh, gh).real)
-    num = cfg.P_u * nrm2 ** 2
-    L, K_u, K_d = profile.L, profile.K_u, profile.K_d
-    err = cfg.P_u * abs(np.vdot(gh, eps)) ** 2
-    cross = 0.0
-    for l in range(L):
-        for m in range(K_u):
-            if (l, m) == (j, n):
-                continue
-            cross += abs(np.vdot(gh, real.G_u[j, l, :, m])) ** 2
-    bsbs = 0.0
-    for l in range(L):
-        if l == j:
-            continue
-        coef = cfg.P_d / (K_d * factors.gamma_tilde[l])
-        for k in range(K_d):
-            bsbs += coef * abs(gh.conj() @ real.V[j, l] @ est.g_hat_d[l, :, k].conj()) ** 2
-    noise = nrm2 * (cfg.sigma2 + cfg.kappa * cfg.P_d * profile.beta_b[j, j])
-    return num / (err + cfg.P_u * cross + bsbs + noise)
 
 
 # ---------------------------------------------------------------------------
@@ -210,34 +119,17 @@ class RateReport:
                         "stderr": self.dl_stderr[l, k]})
         return out
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["system", "csi", "cell", "user",
-                                               "class", "rate", "stderr"])
-            w.writeheader()
-            for row in self.rows():
-                row = dict(row, rate=repr(float(row["rate"])),
-                           stderr=repr(float(row["stderr"])))
-                w.writerow(row)
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({"system": self.system, "csi": self.csi,
-                       "n_trials": self.n_trials,
-                       "overhead_ul": self.overhead_ul,
-                       "overhead_dl": self.overhead_dl,
-                       "rows": self.rows()}, fh, indent=1, sort_keys=True)
-
 
 _SYSTEMS = ("fd", "tdd")
 _CSI_MODES = ("perfect", "imperfect")
 
 
-def _check_mode(system: str, csi: str) -> None:
-    """Reject a system or CSI string that no code path handles."""
-    if system not in _SYSTEMS:
+def _check_mode(system: str | None = None, csi: str | None = None) -> None:
+    """Reject a system or CSI string that no code path handles; None is not
+    checked."""
+    if system is not None and system not in _SYSTEMS:
         raise ValueError(f"system must be one of {_SYSTEMS}, got {system!r}")
-    if csi not in _CSI_MODES:
+    if csi is not None and csi not in _CSI_MODES:
         raise ValueError(f"csi must be one of {_CSI_MODES}, got {csi!r}")
 
 
@@ -477,63 +369,43 @@ def tdd_rates_mc(profile, cfg, csi, trials, seed, batch=64) -> RateReport:
 # Analytic downlink rate under imperfect CSI
 # ---------------------------------------------------------------------------
 
-def dl_effective_moments(profile, cfg):
-    """Closed-form moments of the effective downlink channel g^T ghat*.
+def ue_interference(profile: LargeScaleProfile, cfg: SystemConfig,
+                    system: str):
+    """Mean UE-UE interference at each downlink user, (L, K_d).
 
-    Returns (Emu, varmu, cross) where Emu/varmu are (L, K_d) for the serving
-    link and cross[l, k, j, i] = E|g_{d,jlk}^T ghat*_{d,jji}|^2.
+    Every uplink user's signal reaches the user, except that an FD user
+    cancels its own and keeps the residual kappa P_u beta_I.  TDD has none.
     """
-    L, K_d = profile.L, profile.K_d
-    jj = np.arange(L)
-    st = estimation_stats(profile, cfg)
-    lam = st.lam_d                                  # (L, K_d)
-    own = profile.beta_d[jj, jj]                    # (L, K_d)
-    M, P = cfg.M, cfg.P_tr
-    Emu = M * P * own ** 2 / lam
-    varmu = M * P * own ** 3 / lam
-    cross = np.empty((L, K_d, L, K_d))
-    for l in range(L):
-        for k in range(K_d):
-            for j in range(L):
-                b_jlk = profile.beta_d[j, l, k]
-                for i in range(K_d):
-                    if i == k:
-                        if j == l:
-                            cross[l, k, j, i] = np.nan   # serving link, not used
-                            continue
-                        contam = profile.beta_d[j, :, k].sum() - b_jlk
-                        cross[l, k, j, i] = (M * P ** 2 * own[j, k] ** 2 / lam[j, k] ** 2) * (
-                            (M + 1) * b_jlk ** 2 + contam * b_jlk
-                            + b_jlk * cfg.sigma2 / P)
-                    else:
-                        cross[l, k, j, i] = M * P * own[j, i] ** 2 * b_jlk / lam[j, i]
-    return Emu, varmu, cross
+    if system == "tdd":
+        return 0.0
+    L, K_f = profile.L, profile.K_f
+    ue = cfg.P_u * profile.beta_I.sum(axis=(2, 3))
+    ll, kk = np.ix_(np.arange(L), np.arange(K_f))
+    ue[:, :K_f] -= (1.0 - cfg.kappa) * cfg.P_u * profile.beta_I[ll, kk, ll, kk]
+    return ue
 
 
 def dl_rates_fd_imperfect(profile, cfg, system="fd") -> np.ndarray:
-    """Downlink rates under imperfect CSI assembled from channel moments.
+    """Downlink rates under MMSE-estimated CSI, shape (L, K_d).
 
-    With system="tdd" the UE-UE interference and the full-duplex transmitter
-    noise terms are absent.
+    The use-and-then-forget bound: user k of cell l decodes against the mean
+    of its effective channel, and all else it receives is interference.  BS
+    j's beam to its own user k arrives with mean power
+    coef[j] (M c[j, k] beta_d[j, l, k])^2, c the MMSE gain
+    P_tr beta_d[j, j, k] / lam_d[j, k]; the other cells' means are pilot
+    contamination.  Each BS radiates P_d in all, so every beam's spread
+    about its mean sums to P_d sum_j beta_d[j, l, k].  Holds for every
+    M >= 1.  With system="tdd" the UE-UE interference and the full-duplex
+    transmitter noise terms are absent.
     """
-    L, K_d, K_u, K_f = profile.L, profile.K_d, profile.K_u, profile.K_f
-    factors = per_cell_factors(profile, cfg)
-    coef = cfg.P_d / (K_d * factors.gamma_tilde)      # (L,)
-    Emu, varmu, cross = dl_effective_moments(profile, cfg)
-    rates = np.empty((L, K_d))
-    for l in range(L):
-        for k in range(K_d):
-            denom = coef[l] * varmu[l, k] + cfg.sigma2_dl
-            for j in range(L):
-                for i in range(K_d):
-                    if (j, i) == (l, k):
-                        continue
-                    denom += coef[j] * cross[l, k, j, i]
-            if system == "fd":
-                ue = cfg.P_u * profile.beta_I[l, k].sum()
-                if k < K_f:
-                    ue -= cfg.P_u * profile.beta_I[l, k, l, k]
-                    ue += cfg.kappa * cfg.P_u * profile.beta_I[l, k, l, k]
-                denom += ue
-            rates[l, k] = np.log2(1.0 + coef[l] * Emu[l, k] ** 2 / denom)
-    return rates
+    _check_mode(system=system)
+    jj = np.arange(profile.L)
+    bd = profile.beta_d                                         # (j, l, k)
+    c = cfg.P_tr * bd[jj, jj] / estimation_stats(profile, cfg).lam_d
+    coef = cfg.P_d / (profile.K_d * per_cell_factors(profile, cfg).gamma_tilde)
+    mean2 = coef[:, None, None] * (cfg.M * c[:, None, :] * bd) ** 2
+    signal = mean2[jj, jj]                                      # (l, k)
+    mean2[jj, jj] = 0.0
+    denom = (cfg.P_d * bd.sum(axis=0) + mean2.sum(axis=0)
+             + ue_interference(profile, cfg, system) + cfg.sigma2_dl)
+    return np.log2(1.0 + signal / denom)

@@ -139,18 +139,6 @@ def profile_from_topology(params: ScenarioParams, topo: Topology, rng) -> LargeS
     return LargeScaleProfile(beta_u=bu, beta_d=bd, beta_b=bb, beta_I=bI, K_f=0)
 
 
-def topology_csv_rows(topo: Topology):
-    rows = []
-    for j, p in enumerate(topo.bs_positions):
-        rows.append({"entity": "bs", "cell": j, "x": p[0], "y": p[1]})
-    for j in range(topo.n_bs):
-        for p in topo.ul_ue_positions[j]:
-            rows.append({"entity": "ul_ue", "cell": j, "x": p[0], "y": p[1]})
-        for p in topo.dl_ue_positions[j]:
-            rows.append({"entity": "dl_ue", "cell": j, "x": p[0], "y": p[1]})
-    return rows
-
-
 def run_drop(params: ScenarioParams, M: int, kappa_db: float, seed,
              trials: int = 200) -> tuple[RateReport, RateReport]:
     """One random drop: topology, large-scale gains, FD and TDD imperfect-CSI

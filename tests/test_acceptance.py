@@ -13,13 +13,15 @@ import pytest
 from fdmimo import (HomogeneousConfig, PowerScalingSchedule, ScenarioParams,
                     SystemConfig,
                     asymptotic_gain_limits, asymptotic_rates,
-                    closed_form_report, emit, expand_homogeneous, fd_gain,
+                    closed_form_report, emit, estimation_stats,
+                    expand_homogeneous, fd_gain,
                     fd_rates_mc, homogeneous_rates, prop1_rates, prop2_rates,
                     run_drop, tdd_rates_mc, wishart_inverse_moments)
 from fdmimo.experiments import experiment_power_scaling, experiment_tightness
 from fdmimo.rates import dl_rates_fd_imperfect, overheads
 
 from conftest import random_config, random_profile, uniform_mixed_profile
+from reference import mmse_estimate
 
 PAPER_H = HomogeneousConfig(L=7, K=5, beta=0.3, M=64, P_u=10.0, P_d=100.0,
                             P_tr=10.0, kappa=1e-5, T=196)
@@ -180,8 +182,6 @@ def test_criterion_6_wishart_moment_oracles():
 def test_criterion_7_mmse_estimator_suite():
     """Exact variance decomposition, empirical uncorrelatedness, and the
     high-pilot-power limit recovering the perfect-CSI rates."""
-    from fdmimo import estimation_stats, mmse_estimate
-
     ok = True
     # (a) decomposition exact to machine precision
     rng = np.random.default_rng(31)

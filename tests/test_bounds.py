@@ -12,6 +12,7 @@ from fdmimo import (HomogeneousConfig, LargeScaleProfile,
 from fdmimo.experiments import reference_schedule
 
 from conftest import random_config, random_profile, uniform_mixed_profile
+from reference import asymptotic_rates_loop, prop1_rates_loop, prop2_rates_loop
 
 
 def unit_profile():
@@ -62,6 +63,46 @@ def test_bounds_require_m3():
         prop1_rates(unit_profile(), unit_cfg(M=2))
     with pytest.raises(ValueError):
         prop2_rates(unit_profile(), unit_cfg(M=2))
+
+
+@pytest.mark.parametrize("system", ["fd", "tdd"])
+def test_array_forms_match_loops(system):
+    """The array closed forms equal the per-user loops to 1e-12 on random
+    profiles with L = 1..5 cells and K_f = 0..3 FD users."""
+    rng = np.random.default_rng(505)
+    laws = (("perfect_csi_1_over_M", 64.0), ("imperfect_csi_1_over_sqrtM", 8.0))
+    for i in range(60):
+        L, K_f = 1 + i % 5, i % 4
+        K_h_u = int(rng.integers(0, 3)) if K_f else int(rng.integers(1, 3))
+        K_h_d = int(rng.integers(0, 3)) if K_f else int(rng.integers(1, 3))
+        prof = random_profile(rng, L=L, K_f=K_f, K_h_u=K_h_u, K_h_d=K_h_d)
+        cfg = random_config(rng, prof, M=int(rng.integers(3, 400)))
+        pairs = [(prop1_rates(prof, cfg, system=system),
+                  prop1_rates_loop(prof, cfg, system=system)),
+                 (prop2_rates(prof, cfg, system=system),
+                  prop2_rates_loop(prof, cfg, system=system))]
+        for law, fac in laws:
+            sched = PowerScalingSchedule(E_u=cfg.P_u * fac, E_d=cfg.P_d * fac,
+                                         E_tr=cfg.P_tr * fac, exponent=law)
+            big = sched.apply(cfg, 10 ** 6)
+            pairs.append((asymptotic_rates(prof, big, sched),
+                          asymptotic_rates_loop(prof, big, sched)))
+        for got, want in pairs:
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, c, h: prop1_rates(p, c, system="FD"),
+    lambda p, c, h: prop2_rates(p, c, system="FD"),
+    lambda p, c, h: homogeneous_rates(h, "Perfect"),
+    lambda p, c, h: asymptotic_gain_limits(c, "perfekt"),
+], ids=["prop1-system", "prop2-system", "homogeneous-csi", "gain-limits-csi"])
+def test_closed_forms_reject_unknown_modes(call, paper_homogeneous):
+    prof = expand_homogeneous(paper_homogeneous)
+    cfg = paper_homogeneous.system_config()
+    with pytest.raises(ValueError, match="must be one of"):
+        call(prof, cfg, paper_homogeneous)
 
 
 def test_tdd_variant_drops_cross_terms():

@@ -8,9 +8,10 @@ from scipy import stats
 
 from fdmimo import (PathlossModel, TopologyError, build_topology,
                     compose_large_scale, sample_hexagon, trial_rng)
-from fdmimo.channel import _in_hexagon, draw_cn, realize_channels
+from fdmimo.channel import _in_hexagon, draw_cn
 
 from conftest import random_profile
+from reference import realize_channels
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdmimo import SystemConfig, estimation_stats, mmse_estimate
-from fdmimo.channel import realize_channels
-from fdmimo.estimation import (estimate_all, pilot_slot_dl, pilot_slot_ul,
-                               training_observation)
+from fdmimo import SystemConfig, estimation_stats
 
 from conftest import random_profile
+from reference import (estimate_all, mmse_estimate, pilot_slot_dl, pilot_slot_ul,
+                       realize_channels, training_observation)
 
 
 def cfg_for(prof, M=8, P_tr=10.0):

@@ -101,6 +101,18 @@ def test_cli_stdout(capsys):
     assert outp.startswith("experiment,config_digest,seed")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_stdout_matches_file(tmp_path, capsysbinary, fmt):
+    """--out - and --out FILE give the same bytes (CSV rows end in CRLF)."""
+    args = ["rates", "--cells", "2", "--users", "2", "--antennas", "8",
+            "--trials", "16", "--format", fmt]
+    out = tmp_path / f"r.{fmt}"
+    assert main(args + ["--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(args) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_cli_json_format(tmp_path):
     out = tmp_path / "t.json"
     rc = main(["rates", "--cells", "2", "--users", "2", "--antennas", "8",

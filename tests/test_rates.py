@@ -1,18 +1,15 @@
-import json
-
 import numpy as np
 import pytest
 
-from fdmimo import (SystemConfig, dl_rates_fd_imperfect, fd_rates_mc,
-                    overheads, tdd_rates_mc)
-from fdmimo.bounds import prop2_rates
-from fdmimo.channel import realize_channels, trial_rng
-from fdmimo.estimation import estimate_all
+from fdmimo import (LargeScaleProfile, SystemConfig, dl_rates_fd_imperfect,
+                    fd_rates_mc, overheads, prop2_rates, tdd_rates_mc)
+from fdmimo.channel import trial_rng
 from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _mc_rates,
-                          dl_sinr_fd_perfect, per_cell_factors,
-                          ul_sinr_fd_imperfect, ul_sinr_fd_perfect)
+                          per_cell_factors)
 
 from conftest import random_profile
+from reference import (dl_sinr_fd_perfect, estimate_all, realize_channels,
+                       ul_sinr_fd_imperfect, ul_sinr_fd_perfect)
 
 
 def as_batch(real):
@@ -144,12 +141,25 @@ def test_fd_imperfect_dl_is_analytic(small_profile, small_config):
                                dl_rates_fd_imperfect(small_profile, small_config))
 
 
-def test_analytic_dl_equals_closed_form_bound(small_profile, small_config):
-    """The moment-based downlink evaluation and the closed-form bound are the
-    same algebraic object."""
-    _, dl = prop2_rates(small_profile, small_config)
-    np.testing.assert_allclose(dl_rates_fd_imperfect(small_profile, small_config),
-                               dl, rtol=1e-9)
+@pytest.mark.parametrize("M", [1, 2])
+def test_fd_imperfect_dl_below_three_antennas(M):
+    """The estimated-CSI downlink needs no M >= 3: one cell, one FD user,
+    against the hand value P_tr P_d M b^2 / (lam (P_d b + kappa P_u b_I +
+    sigma2_dl)) with lam = sigma2 + P_tr b.  The closed-form bounds still
+    refuse M < 3."""
+    b, b_I = 0.7, 0.2
+    prof = LargeScaleProfile(beta_u=np.full((1, 1, 1), b), beta_d=np.full((1, 1, 1), b),
+                             beta_b=np.full((1, 1), 0.3),
+                             beta_I=np.full((1, 1, 1, 1), b_I), K_f=1)
+    cfg = SystemConfig(L=1, M=M, K_f=1, K_h_u=0, K_h_d=0, P_u=2.0, P_d=5.0,
+                       P_tr=3.0, kappa=1e-3, sigma2=1.5, sigma2_dl=0.8, T=196)
+    lam = cfg.sigma2 + cfg.P_tr * b
+    want = np.log2(1 + cfg.P_tr * cfg.P_d * M * b ** 2 / (
+        lam * (cfg.P_d * b + cfg.kappa * cfg.P_u * b_I + cfg.sigma2_dl)))
+    rep = fd_rates_mc(prof, cfg, 16, 0, csi="imperfect")
+    assert rep.dl_rates[0, 0] == pytest.approx(want, rel=1e-14)
+    with pytest.raises(ValueError, match="M >= 3"):
+        prop2_rates(prof, cfg)
 
 
 def test_tdd_excludes_fd_terms(small_profile, small_config):
@@ -162,20 +172,12 @@ def test_tdd_excludes_fd_terms(small_profile, small_config):
     np.testing.assert_array_equal(a.dl_rates, b.dl_rates)
 
 
-def test_report_se_and_serialization(tmp_path, small_profile, small_config):
+def test_report_se_and_serialization(small_profile, small_config):
     rep = fd_rates_mc(small_profile, small_config, 16, 1, csi="imperfect")
     np.testing.assert_allclose(rep.ul_se_per_cell,
                                rep.overhead_ul * rep.ul_rates.sum(axis=1))
     rows = rep.rows()
     assert len(rows) == small_profile.K_u * 3 + small_profile.K_d * 3
-    csv_path = tmp_path / "r.csv"
-    rep.to_csv(csv_path)
-    text = csv_path.read_text()
-    assert text.startswith("system,csi,cell,user,class,rate,stderr")
-    json_path = tmp_path / "r.json"
-    rep.to_json(json_path)
-    data = json.loads(json_path.read_text())
-    assert data["csi"] == "imperfect" and len(data["rows"]) == len(rows)
 
 
 @pytest.mark.parametrize("system,csi", [("fd", "imperfekt"), ("tdd", "Perfect"),

@@ -5,7 +5,7 @@ import pytest
 
 from fdmimo import ScenarioParams, run_drop, scenario_params_from_dict
 from fdmimo.scenario import (DEFAULT_PATHLOSS, drop_topology, load_scenario,
-                             profile_from_topology, topology_csv_rows)
+                             profile_from_topology)
 
 
 def test_default_noise_figures():
@@ -48,14 +48,6 @@ def test_profile_from_topology_structure():
     own = prof.beta_u[jj, jj].mean()
     cross = (prof.beta_u.sum() - prof.beta_u[jj, jj].sum()) / (12 * 11 * 5)
     assert own > 10 * cross
-
-
-def test_topology_csv_rows():
-    p = ScenarioParams()
-    topo = drop_topology(p, np.random.default_rng(4))
-    rows = topology_csv_rows(topo)
-    assert len(rows) == 12 * 11
-    assert sum(r["entity"] == "bs" for r in rows) == 12
 
 
 def test_scenario_roundtrip(tmp_path):
