@@ -6,17 +6,16 @@ comparisons, large-antenna power-scaling asymptotics, and a 3GPP-style
 small-cell evaluation scenario.
 """
 
-from .bounds import (GainReport, TradeoffPoint, antenna_reduction_curve,
+from .bounds import (TradeoffPoint, antenna_reduction_curve,
                      asymptotic_gain_limits, asymptotic_rates,
                      closed_form_report, fd_gain, homogeneous_rates,
-                     prop1_rates, prop2_rates, wishart_inverse_moments)
+                     prop1_rates, prop2_rates)
 from .channel import (PathlossModel, Topology, TopologyError, build_topology,
                       compose_large_scale, sample_hexagon, trial_rng)
 from .config import (HomogeneousConfig, LargeScaleProfile,
                      PowerScalingSchedule, SystemConfig, ValidationResult,
                      config_digest, db_to_linear, dbm_to_watt,
-                     expand_homogeneous, load_system_config,
-                     system_config_from_dict, validate)
+                     expand_homogeneous, validate)
 from .estimation import EstimationStats, estimation_stats
 from .experiments import (ExperimentResult, emit, experiment_gain_vs_M,
                           experiment_gain_vs_kappa, experiment_power_scaling,

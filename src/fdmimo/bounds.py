@@ -1,5 +1,5 @@
-"""Closed-form lower bounds, homogeneous specializations, asymptotic limits,
-full-duplex gain ratios and Wishart moment identities.
+"""Closed-form lower bounds, homogeneous specializations, asymptotic limits
+and full-duplex gain ratios.
 
 All evaluators also accept ``system="tdd"``, which removes the BS-BS, UE-UE
 and transmitter-noise terms and is used for the closed-form TDD reference in
@@ -16,13 +16,9 @@ import numpy as np
 from .config import (HomogeneousConfig, LargeScaleProfile, PowerScalingSchedule,
                      SystemConfig, expand_homogeneous)
 from .estimation import estimation_stats
-from .rates import (RateReport, _check_mode, dl_rates_fd_imperfect, overheads,
-                    per_cell_factors, ue_interference)
-
-
-def _require_m3(cfg: SystemConfig):
-    if cfg.M < 3:
-        raise ValueError("closed-form lower bounds require M >= 3")
+from .rates import (RateReport, _check_inputs, _check_mode,
+                    dl_rates_fd_imperfect, overheads, per_cell_factors,
+                    ue_interference)
 
 
 def _bs_interference(profile: LargeScaleProfile, cfg: SystemConfig,
@@ -42,7 +38,7 @@ def prop1_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     Returns (ul, dl) arrays of shape (L, K_u) and (L, K_d).
     """
     _check_mode(system=system)
-    _require_m3(cfg)
+    _check_inputs(profile, cfg, closed_forms=True)
     M, jj = cfg.M, np.arange(profile.L)
     bu, bd = profile.beta_u, profile.beta_d
     own_u, own_d = bu[jj, jj], bd[jj, jj]                       # (L, K)
@@ -52,11 +48,11 @@ def prop1_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     ul = np.log2(1.0 + num / (I_up + _bs_interference(profile, cfg, system)
                               + cfg.sigma2))
 
-    eta = per_cell_factors(profile, cfg).eta[:, None]
-    I_down = eta * cfg.P_d * (M - 2) * own_d * (own_d.sum(axis=1, keepdims=True) - own_d)
+    coef = per_cell_factors(profile, cfg, "perfect")[:, None]
+    I_down = coef * (M - 2) * own_d * (own_d.sum(axis=1, keepdims=True) - own_d)
     I_down += cfg.P_d * (bd.sum(axis=0) - own_d)
     I_down += ue_interference(profile, cfg, system)
-    num = eta * cfg.P_d * (M - 1) * (M - 2) * own_d ** 2
+    num = coef * (M - 1) * (M - 2) * own_d ** 2
     dl = np.log2(1.0 + num / (I_down + cfg.sigma2_dl))
     return ul, dl
 
@@ -69,7 +65,7 @@ def prop2_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     the Monte Carlo driver also reports.
     """
     _check_mode(system=system)
-    _require_m3(cfg)
+    _check_inputs(profile, cfg, closed_forms=True)
     M, P_u, P_tr, s2 = cfg.M, cfg.P_u, cfg.P_tr, cfg.sigma2
     jj = np.arange(profile.L)
     bu = profile.beta_u                                         # (j, l, n)
@@ -159,18 +155,6 @@ def asymptotic_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     return ul, dl
 
 
-@dataclass(frozen=True)
-class GainReport:
-    """FD over TDD sum spectral-efficiency ratios."""
-
-    gain_ul: float
-    gain_dl: float
-    M: int
-    csi: str
-    asymptote_ul: float
-    asymptote_dl: float
-
-
 def asymptotic_gain_limits(cfg: SystemConfig, csi: str) -> tuple[float, float]:
     _check_mode(csi=csi)
     if csi == "perfect":
@@ -179,30 +163,17 @@ def asymptotic_gain_limits(cfg: SystemConfig, csi: str) -> tuple[float, float]:
             2.0 * (1.0 - cfg.K_h_u / (cfg.T - cfg.K_d)))
 
 
-def fd_gain(fd_report: RateReport, tdd_report: RateReport,
-            cfg: SystemConfig) -> GainReport:
-    """Ratio of FD to TDD sum spectral efficiency, overheads included."""
+def fd_gain(fd_report: RateReport, tdd_report: RateReport) -> tuple[float, float]:
+    """(uplink, downlink) ratio of FD to TDD sum spectral efficiency,
+    overheads included."""
     if fd_report.ul_rates.shape != tdd_report.ul_rates.shape:
         raise ValueError("mismatched user populations")
     tdd_ul = tdd_report.ul_se_per_cell.sum()
     tdd_dl = tdd_report.dl_se_per_cell.sum()
     if tdd_ul <= 0 or tdd_dl <= 0:
         raise ZeroDivisionError("TDD spectral efficiency is zero")
-    a_ul, a_dl = asymptotic_gain_limits(cfg, fd_report.csi)
-    return GainReport(gain_ul=fd_report.ul_se_per_cell.sum() / tdd_ul,
-                      gain_dl=fd_report.dl_se_per_cell.sum() / tdd_dl,
-                      M=cfg.M, csi=fd_report.csi,
-                      asymptote_ul=a_ul, asymptote_dl=a_dl)
-
-
-def wishart_inverse_moments(m: int, n: int) -> tuple[float, float]:
-    """E[tr W^-1] and E[tr W^-2] of a central complex Wishart W_m(n, I)."""
-    if n <= m:
-        raise ValueError("first inverse moment requires n > m")
-    if n <= m + 1:
-        raise ValueError("second inverse moment requires n > m + 1")
-    d = n - m
-    return m / d, m * n / (d ** 3 - d)
+    return (fd_report.ul_se_per_cell.sum() / tdd_ul,
+            fd_report.dl_se_per_cell.sum() / tdd_dl)
 
 
 @dataclass(frozen=True)
@@ -212,11 +183,6 @@ class TradeoffPoint:
     se_gain: float
     antenna_reduction: float
     reachable: bool = True
-
-
-def _fd_sum_se(h: HomogeneousConfig, csi: str, M: int) -> float:
-    ul, dl = homogeneous_rates(h, csi, M=M)
-    return ul + dl
 
 
 def _tdd_sum_se(h: HomogeneousConfig, csi: str, M: int) -> float:
@@ -235,12 +201,12 @@ def antenna_reduction_curve(h: HomogeneousConfig, M_tdd_list, csi: str,
         se_tdd = _tdd_sum_se(h, csi, M_tdd)
         target_gains = gains
         if target_gains is None:
-            g_eq = _fd_sum_se(h, csi, M_tdd) / se_tdd
+            g_eq = sum(homogeneous_rates(h, csi, M=M_tdd)) / se_tdd
             target_gains = np.linspace(1.0, g_eq, 8)
         for g in target_gains:
             # Gains, not SEs, are compared: at g = g_eq the gain at M_tdd is
             # the same float, so M_fd = M_tdd whatever the rounding.
-            if _fd_sum_se(h, csi, M_max) / se_tdd < g:
+            if sum(homogeneous_rates(h, csi, M=M_max)) / se_tdd < g:
                 points.append(TradeoffPoint(M_tdd=M_tdd, M_fd=M_max, se_gain=g,
                                             antenna_reduction=M_tdd / M_max,
                                             reachable=False))
@@ -249,7 +215,7 @@ def antenna_reduction_curve(h: HomogeneousConfig, M_tdd_list, csi: str,
             # rates are monotone nondecreasing in M; bisect for the minimum
             while lo < hi:
                 mid = (lo + hi) // 2
-                if _fd_sum_se(h, csi, mid) / se_tdd >= g:
+                if sum(homogeneous_rates(h, csi, M=mid)) / se_tdd >= g:
                     hi = mid
                 else:
                     lo = mid + 1

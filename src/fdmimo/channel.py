@@ -37,17 +37,28 @@ class PathlossModel:
             raise ValueError("B must be positive for propagation classes")
 
 
-def compose_large_scale(pl: PathlossModel, distance: float = 0.0,
-                        shadow_draw: float = 0.0, antenna_gain: float = 0.0) -> float:
-    """Combine pathloss, shadowing and antenna gain into a linear gain."""
+# libm's log10 and pow applied element by element.  numpy's vectorised ones
+# differ from them in the last ulp on a few percent of inputs, and a drop's
+# gains must not depend on whether they are computed one link at a time.
+_log10 = np.frompyfunc(math.log10, 1, 1)
+_pow = np.frompyfunc(pow, 2, 1)
+
+
+def compose_large_scale(pl: PathlossModel, distance=0.0, shadow_draw=0.0,
+                        antenna_gain: float = 0.0):
+    """Combine pathloss, shadowing and antenna gain into a linear gain.
+
+    ``distance`` and ``shadow_draw`` may be arrays of one shape; the gain
+    then has that shape.
+    """
     if pl.link_class == "SELF":
-        loss_db = pl.extra_loss
-        return 10.0 ** (-loss_db / 10.0)
-    if distance <= 0:
+        return 10.0 ** (-pl.extra_loss / 10.0)
+    distance = np.asarray(distance, dtype=float)
+    if np.any(distance <= 0):
         raise ValueError("distance must be positive for propagation links")
-    loss_db = pl.A + pl.B * math.log10(distance)
+    loss_db = pl.A + pl.B * np.asarray(_log10(distance), dtype=float)
     total_db = -loss_db + antenna_gain - pl.extra_loss + shadow_draw
-    return 10.0 ** (total_db / 10.0)
+    return np.asarray(_pow(10.0, total_db / 10.0), dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,6 @@ class Topology:
     bs_positions: np.ndarray             # (n_bs, 2)
     ul_ue_positions: np.ndarray          # (n_bs, n_ul, 2)
     dl_ue_positions: np.ndarray          # (n_bs, n_dl, 2)
-    region_radius: float
 
     @property
     def n_bs(self) -> int:
@@ -150,8 +160,7 @@ def build_topology(rng, n_bs: int, hex_radius: float,
     ues = np.asarray(ues)
     return Topology(bs_positions=bs,
                     ul_ue_positions=ues[:, :n_ul_per_bs],
-                    dl_ue_positions=ues[:, n_ul_per_bs:],
-                    region_radius=hex_radius)
+                    dl_ue_positions=ues[:, n_ul_per_bs:])
 
 
 def draw_cn(rng: np.random.Generator, shape) -> np.ndarray:

@@ -1,8 +1,8 @@
 """System parameters, large-scale fading profiles and canonical configurations.
 
 All powers are stored in linear watts.  dB / dBm values appear only at the
-config-file boundary (keys suffixed ``_db`` / ``_dbm``) and are converted once
-on load.
+boundary (CLI flags, scenario parameters) and are converted there with
+:func:`db_to_linear` / :func:`dbm_to_watt`.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,15 +76,11 @@ class SystemConfig:
     def replace(self, **kwargs) -> "SystemConfig":
         return dataclasses.replace(self, **kwargs)
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class ValidationResult:
     ok: bool
     violations: tuple = ()
-    warnings: tuple = ()
 
 
 def validate(cfg: SystemConfig, closed_forms: bool = False) -> ValidationResult:
@@ -94,7 +90,6 @@ def validate(cfg: SystemConfig, closed_forms: bool = False) -> ValidationResult:
     evaluated; their derivation needs M >= 3.
     """
     bad = []
-    warn = []
     for name in ("L", "M", "T"):
         if getattr(cfg, name) < 1:
             bad.append(f"{name}: positive integer required")
@@ -108,8 +103,6 @@ def validate(cfg: SystemConfig, closed_forms: bool = False) -> ValidationResult:
             bad.append(f"{name}: strictly positive finite power required")
     if not 0.0 <= cfg.kappa < 1.0:
         bad.append("kappa: value in [0, 1) required")
-    elif cfg.kappa > 0.1:
-        warn.append("kappa: above 0.1, dynamic-range model assumes kappa << 1")
     if cfg.tau < cfg.K_tot:
         bad.append("tau: tau >= K_tot required")
     if cfg.tau_u < cfg.K_u:
@@ -121,7 +114,7 @@ def validate(cfg: SystemConfig, closed_forms: bool = False) -> ValidationResult:
             bad.append(f"{name}: {name} < T required")
     if closed_forms and cfg.M < 3:
         bad.append("M: M >= 3 required for closed-form lower bounds")
-    return ValidationResult(ok=not bad, violations=tuple(bad), warnings=tuple(warn))
+    return ValidationResult(ok=not bad, violations=tuple(bad))
 
 
 @dataclass(frozen=True)
@@ -143,26 +136,23 @@ class LargeScaleProfile:
     K_f: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_u", np.asarray(self.beta_u, dtype=float))
-        object.__setattr__(self, "beta_d", np.asarray(self.beta_d, dtype=float))
-        object.__setattr__(self, "beta_b", np.asarray(self.beta_b, dtype=float))
-        object.__setattr__(self, "beta_I", np.asarray(self.beta_I, dtype=float))
+        for name in ("beta_u", "beta_d", "beta_b", "beta_I"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         L, _, K_u = self.beta_u.shape
         K_d = self.beta_d.shape[2]
         if self.beta_d.shape != (L, L, K_d) or self.beta_b.shape != (L, L):
             raise ValueError("inconsistent profile array shapes")
         if self.beta_I.shape != (L, K_d, L, K_u):
             raise ValueError("beta_I must have shape (L, K_d, L, K_u)")
-        for arr, name in ((self.beta_u, "beta_u"), (self.beta_d, "beta_d"),
-                          (self.beta_b, "beta_b"), (self.beta_I, "beta_I")):
+        for name in ("beta_u", "beta_d", "beta_b", "beta_I"):
+            arr = getattr(self, name)
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
                 raise ValueError(f"{name}: entries must be strictly positive and finite")
-        if self.K_f:
-            for j in range(L):
-                if not np.allclose(self.beta_u[j, j, :self.K_f],
-                                   self.beta_d[j, j, :self.K_f], rtol=0, atol=0):
-                    raise ValueError("reciprocity: beta_u[j,j,i] must equal "
-                                     "beta_d[j,j,i] for full-duplex users")
+        jj = np.arange(L)
+        if not np.array_equal(self.beta_u[jj, jj, :self.K_f],
+                              self.beta_d[jj, jj, :self.K_f]):
+            raise ValueError("reciprocity: beta_u[j,j,i] must equal "
+                             "beta_d[j,j,i] for full-duplex users")
 
     @property
     def L(self) -> int:
@@ -247,39 +237,8 @@ class PowerScalingSchedule:
         return cfg.replace(M=M, P_u=P_u, P_d=P_d, P_tr=P_tr)
 
 
-def _convert_units(raw: dict) -> dict:
-    """Convert *_db / *_dbm keys to linear values, recursively."""
-    out = {}
-    for key, val in raw.items():
-        if isinstance(val, dict):
-            out[key] = _convert_units(val)
-        elif key.endswith("_dbm"):
-            out[key[:-4]] = float(dbm_to_watt(val))
-        elif key.endswith("_db"):
-            out[key[:-3]] = float(db_to_linear(val))
-        else:
-            out[key] = val
-    return out
-
-
-def system_config_from_dict(raw: dict) -> SystemConfig:
-    data = _convert_units(raw)
-    names = {f.name for f in dataclasses.fields(SystemConfig)}
-    unknown = set(data) - names
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return SystemConfig(**data)
-
-
-def load_system_config(path) -> SystemConfig:
-    with open(path) as fh:
-        return system_config_from_dict(json.load(fh))
-
-
 def config_digest(obj) -> str:
     """Stable hex digest of any JSON-serializable configuration object."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = dataclasses.asdict(obj)
     blob = json.dumps(obj, sort_keys=True, default=_json_default).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -12,14 +12,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import (GainReport, antenna_reduction_curve, closed_form_report,
-                     fd_gain, homogeneous_rates)
-from .config import (HomogeneousConfig, PowerScalingSchedule, SystemConfig,
-                     config_digest, expand_homogeneous)
+from .bounds import antenna_reduction_curve, fd_gain, homogeneous_rates
+from .config import (HomogeneousConfig, PowerScalingSchedule, config_digest,
+                     expand_homogeneous)
 from .rates import RateReport, fd_rates_mc, overheads, tdd_rates_mc
 from .scenario import ScenarioParams, run_drop
 
@@ -92,13 +91,12 @@ def experiment_tightness(h: HomogeneousConfig, M_list, trials, seed) -> Experime
             se_dl = o_dl * float(np.sqrt((rep.dl_stderr ** 2).sum(axis=1)).mean())
             # homogeneous_rates already carries the imperfect-CSI overhead
             # prefactor, and the perfect-CSI prefactor is 1.
-            bound_ul, bound_dl = b_ul, b_dl
             rows.append({"M": M, "csi": csi, "link": "ul", "mc_se": mc_ul,
-                         "bound_se": bound_ul, "mc_stderr": se_ul,
-                         "rel_gap": (mc_ul - bound_ul) / mc_ul})
+                         "bound_se": b_ul, "mc_stderr": se_ul,
+                         "rel_gap": (mc_ul - b_ul) / mc_ul})
             rows.append({"M": M, "csi": csi, "link": "dl", "mc_se": mc_dl,
-                         "bound_se": bound_dl, "mc_stderr": se_dl,
-                         "rel_gap": (mc_dl - bound_dl) / mc_dl})
+                         "bound_se": b_dl, "mc_stderr": se_dl,
+                         "rel_gap": (mc_dl - b_dl) / mc_dl})
     digest = config_digest({"h": h, "M_list": list(M_list), "trials": trials})
     return ExperimentResult("tightness", digest, seed, rows)
 
@@ -131,9 +129,8 @@ def experiment_power_scaling(h: HomogeneousConfig, M_list, csi, trials, seed,
             P_u, P_d, P_tr = sched.powers_at(M)
         else:
             P_u, P_d, P_tr = h.P_u, h.P_d, h.P_tr
-        cfg = h.system_config(M=M).replace(P_u=P_u, P_d=P_d, P_tr=P_tr)
-        hM = HomogeneousConfig(L=h.L, K=h.K, beta=h.beta, M=M, P_u=P_u,
-                               P_d=P_d, P_tr=P_tr, kappa=h.kappa, T=h.T, tau=h.tau)
+        hM = replace(h, M=M, P_u=P_u, P_d=P_d, P_tr=P_tr)
+        cfg = hM.system_config()
         b_ul, b_dl = homogeneous_rates(hM, csi)
         tdd = tdd_rates_mc(profile, cfg, csi, trials, [seed, idx])
         t_ul, t_dl = _sum_se(tdd)
@@ -223,10 +220,10 @@ def experiment_rates(h: HomogeneousConfig, csi, trials, seed) -> ExperimentResul
     tdd = tdd_rates_mc(profile, cfg, csi, trials, [seed, 1])
     for rep in (fd, tdd):
         rows.extend(rep.rows())
-    g = fd_gain(fd, tdd, cfg)
+    g_ul, g_dl = fd_gain(fd, tdd)
     aggregates = [{"system": "gain", "csi": csi, "cell": "", "user": "",
-                   "class": "ul", "rate": g.gain_ul, "stderr": 0.0},
+                   "class": "ul", "rate": g_ul, "stderr": 0.0},
                   {"system": "gain", "csi": csi, "cell": "", "user": "",
-                   "class": "dl", "rate": g.gain_dl, "stderr": 0.0}]
+                   "class": "dl", "rate": g_dl, "stderr": 0.0}]
     digest = config_digest({"h": h, "csi": csi, "trials": trials})
     return ExperimentResult("rates", digest, seed, rows, aggregates)

@@ -53,27 +53,22 @@ from .config import LargeScaleProfile, SystemConfig, validate
 from .estimation import estimation_stats
 
 
-@dataclass(frozen=True)
-class PerCellFactors:
-    """Precoder normalizations and their reciprocals used by the bounds."""
+def per_cell_factors(profile: LargeScaleProfile, cfg: SystemConfig,
+                     csi: str) -> np.ndarray:
+    """Conjugate-beamforming power coefficient P_d / (K_d gamma) of each
+    cell, (L,), so BS l radiates P_d on average (Ngo, Larsson & Marzetta 2013).
 
-    gamma: np.ndarray          # M * sum_k beta_d[l,l,k] / K_d
-    gamma_tilde: np.ndarray    # (M/K_d) * sum_i P_tr beta^2 / lambda
-    eta: np.ndarray            # 1 / (M * sum_i beta_d[l,l,i])
-    eta_tilde: np.ndarray      # (sum_i beta^2 / lambda)^-1
-
-
-def per_cell_factors(profile: LargeScaleProfile, cfg: SystemConfig) -> PerCellFactors:
-    L = profile.L
-    jj = np.arange(L)
-    beta_own = profile.beta_d[jj, jj]                   # (L, K_d)
-    lam_d = estimation_stats(profile, cfg).lam_d
-    s = (beta_own ** 2 / lam_d).sum(axis=1)
-    gamma = cfg.M * beta_own.sum(axis=1) / profile.K_d
-    gamma_tilde = cfg.M * cfg.P_tr * s / profile.K_d
-    return PerCellFactors(gamma=gamma, gamma_tilde=gamma_tilde,
-                          eta=1.0 / (cfg.M * beta_own.sum(axis=1)),
-                          eta_tilde=1.0 / s)
+    gamma = M sum_k beta_d[l,l,k] / K_d with perfect CSI; with estimated CSI
+    it is gamma_tilde = (M/K_d) sum_k P_tr beta_d[l,l,k]^2 / lam_d[l,k].
+    """
+    _check_mode(csi=csi)
+    own = profile.beta_d[np.arange(profile.L), np.arange(profile.L)]   # (L, K_d)
+    if csi == "perfect":
+        gamma = cfg.M * own.sum(axis=1) / profile.K_d
+    else:
+        lam_d = estimation_stats(profile, cfg).lam_d
+        gamma = cfg.M * cfg.P_tr * (own ** 2 / lam_d).sum(axis=1) / profile.K_d
+    return cfg.P_d / (profile.K_d * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +103,11 @@ class RateReport:
         return self.overhead_dl * self.dl_rates.sum(axis=1)
 
     def rows(self):
-        out = []
-        for (j, n), r in np.ndenumerate(self.ul_rates):
-            out.append({"system": self.system, "csi": self.csi, "cell": j,
-                        "user": n, "class": "ul", "rate": r,
-                        "stderr": self.ul_stderr[j, n]})
-        for (l, k), r in np.ndenumerate(self.dl_rates):
-            out.append({"system": self.system, "csi": self.csi, "cell": l,
-                        "user": k, "class": "dl", "rate": r,
-                        "stderr": self.dl_stderr[l, k]})
-        return out
+        return [{"system": self.system, "csi": self.csi, "cell": c, "user": u,
+                 "class": link, "rate": r, "stderr": se[c, u]}
+                for link, rates, se in (("ul", self.ul_rates, self.ul_stderr),
+                                        ("dl", self.dl_rates, self.dl_stderr))
+                for (c, u), r in np.ndenumerate(rates)]
 
 
 _SYSTEMS = ("fd", "tdd")
@@ -148,6 +138,9 @@ def overheads(cfg: SystemConfig, system: str, csi: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Batched Monte Carlo engine
 # ---------------------------------------------------------------------------
+
+_BATCH = 64    # trials per batch; batch t draws from trial_rng(seed, t)
+
 
 class _TrialSampler:
     """Batches of coherence blocks in each BS's own coordinates.
@@ -236,15 +229,17 @@ class _TrialSampler:
         return out
 
 
-def _batch_ul_logrates(d, profile, cfg, factors, system, csi, rng):
-    """log2(1+SINR) for every uplink user in a batch; shape (B, L, K_u)."""
-    L, K_u, K_d = profile.L, profile.K_u, profile.K_d
+def _batch_ul_logrates(d, profile, cfg, coef, system, csi, rng):
+    """log2(1+SINR) for every uplink user in a batch; shape (B, L, K_u).
+
+    ``coef`` is :func:`per_cell_factors` for this ``csi``.
+    """
+    L, K_u = profile.L, profile.K_u
     B, r = d["Gu"].shape[0], d["Gu"].shape[3]
     out = np.empty((B, L, K_u))
     imperfect = csi == "imperfect"
     if system == "fd":
         Z = draw_cn(rng, (B, L, L, r, K_u))
-        coef_dl = cfg.P_d / (K_d * (factors.gamma_tilde if imperfect else factors.gamma))
         pre = d["Ghd"] if imperfect else d["Gd"][:, np.arange(L), np.arange(L)]
     for j in range(L):
         W = d["Ghu"][:, j] if imperfect else d["Gu"][:, j, j]        # (B, M, K_u)
@@ -262,7 +257,7 @@ def _batch_ul_logrates(d, profile, cfg, factors, system, csi, rng):
                 if l == j:
                     continue
                 S = np.einsum("bmn,bmk->bnk", Z[:, j, l].conj(), pre[:, l].conj())
-                denom = denom + (coef_dl[l] * profile.beta_b[j, l]) * nrm2 \
+                denom = denom + (coef[l] * profile.beta_b[j, l]) * nrm2 \
                     * (np.abs(S) ** 2).sum(axis=2)
             noise = cfg.sigma2 + cfg.kappa * cfg.P_d * profile.beta_b[j, j]
         else:
@@ -272,18 +267,18 @@ def _batch_ul_logrates(d, profile, cfg, factors, system, csi, rng):
     return out
 
 
-def _batch_dl_logrates(d, profile, cfg, factors, system, csi):
+def _batch_dl_logrates(d, profile, cfg, coef, system, csi):
     """log2(1+SINR) for every downlink user in a batch; shape (B, L, K_d).
 
     Handles perfect CSI (fd and tdd) and tdd/imperfect; fd/imperfect downlink
-    is analytic and not simulated here.
+    is analytic and not simulated here.  ``coef`` is :func:`per_cell_factors`
+    for this ``csi``.
     """
     L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
     B = d["Gd"].shape[0]
     imperfect = csi == "imperfect"
     jj = np.arange(L)
     pre = d["Ghd"] if imperfect else d["Gd"][:, jj, jj]               # (B, L, M, K_d)
-    coef = cfg.P_d / (K_d * (factors.gamma_tilde if imperfect else factors.gamma))
     if imperfect:
         st = estimation_stats(profile, cfg)
         Emu = cfg.M * cfg.P_tr * profile.beta_d[jj, jj] ** 2 / st.lam_d   # (L, K_d)
@@ -312,35 +307,35 @@ def _batch_dl_logrates(d, profile, cfg, factors, system, csi):
     return out
 
 
-def _mc_rates(profile, cfg, system, csi, trials, seed, batch=64):
-    _check_mode(system, csi)
-    res = validate(cfg)
+def _check_inputs(profile, cfg, closed_forms=False):
+    """Reject a config that fails validate or disagrees with the profile."""
+    res = validate(cfg, closed_forms=closed_forms)
     if not res.ok:
         raise ValueError("invalid config: " + "; ".join(res.violations))
     for name in ("L", "K_f", "K_u", "K_d"):
         if getattr(cfg, name) != getattr(profile, name):
             raise ValueError(f"config and profile disagree on {name}: "
                              f"{getattr(cfg, name)} != {getattr(profile, name)}")
+
+
+def _mc_rates(profile, cfg, system, csi, trials, seed):
+    _check_mode(system, csi)
+    _check_inputs(profile, cfg)
     need_est = csi == "imperfect"
     do_dl = not (system == "fd" and csi == "imperfect")
     L, K_u, K_d = profile.L, profile.K_u, profile.K_d
-    factors = per_cell_factors(profile, cfg)
+    coef = per_cell_factors(profile, cfg, csi)
     sampler = _TrialSampler(profile, cfg, need_est, tdd_pilots=(system == "tdd"))
     sum_u = np.zeros((L, K_u)); sq_u = np.zeros((L, K_u))
     sum_d = np.zeros((L, K_d)); sq_d = np.zeros((L, K_d))
-    done = 0
-    t = 0
-    while done < trials:
-        B = min(batch, trials - done)
+    for t, done in enumerate(range(0, trials, _BATCH)):
         rng = trial_rng(seed, t)
-        t += 1
-        d = sampler.draw(rng, B)
-        lu = _batch_ul_logrates(d, profile, cfg, factors, system, csi, rng)
+        d = sampler.draw(rng, min(_BATCH, trials - done))
+        lu = _batch_ul_logrates(d, profile, cfg, coef, system, csi, rng)
         sum_u += lu.sum(axis=0); sq_u += (lu ** 2).sum(axis=0)
         if do_dl:
-            ld = _batch_dl_logrates(d, profile, cfg, factors, system, csi)
+            ld = _batch_dl_logrates(d, profile, cfg, coef, system, csi)
             sum_d += ld.sum(axis=0); sq_d += (ld ** 2).sum(axis=0)
-        done += B
     ul = sum_u / trials
     ul_se = np.sqrt(np.maximum(sq_u / trials - ul ** 2, 0.0) / trials)
     if do_dl:
@@ -355,14 +350,14 @@ def _mc_rates(profile, cfg, system, csi, trials, seed, batch=64):
                       overhead_ul=o_ul, overhead_dl=o_dl, n_trials=trials)
 
 
-def fd_rates_mc(profile, cfg, trials, seed, csi="perfect", batch=64) -> RateReport:
+def fd_rates_mc(profile, cfg, trials, seed, csi="perfect") -> RateReport:
     """Full-duplex ergodic rates; downlink under imperfect CSI is analytic."""
-    return _mc_rates(profile, cfg, "fd", csi, trials, seed, batch)
+    return _mc_rates(profile, cfg, "fd", csi, trials, seed)
 
 
-def tdd_rates_mc(profile, cfg, csi, trials, seed, batch=64) -> RateReport:
+def tdd_rates_mc(profile, cfg, csi, trials, seed) -> RateReport:
     """TDD baseline rates, Monte Carlo with no lower-bounding."""
-    return _mc_rates(profile, cfg, "tdd", csi, trials, seed, batch)
+    return _mc_rates(profile, cfg, "tdd", csi, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +397,7 @@ def dl_rates_fd_imperfect(profile, cfg, system="fd") -> np.ndarray:
     jj = np.arange(profile.L)
     bd = profile.beta_d                                         # (j, l, k)
     c = cfg.P_tr * bd[jj, jj] / estimation_stats(profile, cfg).lam_d
-    coef = cfg.P_d / (profile.K_d * per_cell_factors(profile, cfg).gamma_tilde)
+    coef = per_cell_factors(profile, cfg, "imperfect")
     mean2 = coef[:, None, None] * (cfg.M * c[:, None, :] * bd) ** 2
     signal = mean2[jj, jj]                                      # (l, k)
     mean2[jj, jj] = 0.0

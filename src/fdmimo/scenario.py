@@ -110,12 +110,10 @@ def _link_gains(pl: PathlossModel, a: np.ndarray, b: np.ndarray, rng,
     log-normal shadowing per link."""
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     shadow = rng.normal(0.0, pl.shadowing_std, size=d.shape)
-    out = np.empty_like(d)
-    for idx, dist in np.ndenumerate(d):
-        # zero distance marks a self link; its gain is overwritten by the caller
-        out[idx] = 0.0 if dist == 0.0 else \
-            compose_large_scale(pl, dist, shadow[idx], gain_dbi)
-    return out
+    # zero distance marks a self link; its gain is overwritten by the caller
+    self_link = d == 0.0
+    gain = compose_large_scale(pl, np.where(self_link, 1.0, d), shadow, gain_dbi)
+    return np.where(self_link, 0.0, gain)
 
 
 def profile_from_topology(params: ScenarioParams, topo: Topology, rng) -> LargeScaleProfile:

@@ -7,7 +7,10 @@ reduced or closed array form; the tests check the two against each other.
 * ``ul_sinr_fd_perfect`` / ``dl_sinr_fd_perfect`` / ``ul_sinr_fd_imperfect``
   evaluate one user's SINR from such a realization with explicit loops.
 * ``prop1_rates_loop`` / ``prop2_rates_loop`` / ``asymptotic_rates_loop``
-  are the closed-form bounds and limits as per-user scalar loops.
+  are the closed-form bounds and limits as per-user scalar loops, and
+  ``wishart_inverse_moments`` the inverse-moment identities behind them.
+* ``link_gains_loop`` is a drop's pathloss-and-shadowing gain matrix, one
+  link at a time.
 * ``vector_draw_trials`` is the M-vector batch sampler, and ``kernel_rates``
   a Monte Carlo loop that runs any sampler through the library's SINR
   kernels.  The library's sampler draws the same quantities in each BS's own
@@ -22,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fdmimo.bounds import _require_m3
-from fdmimo.channel import draw_cn, trial_rng
+from fdmimo.channel import PathlossModel, draw_cn, trial_rng
 from fdmimo.config import LargeScaleProfile, PowerScalingSchedule, SystemConfig
 from fdmimo.estimation import EstimationStats, estimation_stats
-from fdmimo.rates import (PerCellFactors, _batch_dl_logrates, _batch_ul_logrates,
+from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _check_inputs,
                           per_cell_factors)
 
 
@@ -158,9 +160,10 @@ def estimate_all(real: ChannelRealization, profile: LargeScaleProfile,
 # ---------------------------------------------------------------------------
 
 def ul_sinr_fd_perfect(real: ChannelRealization, cfg: SystemConfig,
-                       factors: PerCellFactors, profile: LargeScaleProfile,
+                       coef: np.ndarray, profile: LargeScaleProfile,
                        j: int, n: int) -> float:
-    """Uplink SINR of user n at BS j with perfect CSI and MRC."""
+    """Uplink SINR of user n at BS j with perfect CSI and MRC; ``coef`` is
+    each cell's precoder power coefficient P_d / (K_d gamma)."""
     g = real.G_u[j, j, :, n]
     nrm2 = float(np.vdot(g, g).real)
     if nrm2 == 0.0:
@@ -177,15 +180,14 @@ def ul_sinr_fd_perfect(real: ChannelRealization, cfg: SystemConfig,
     for l in range(L):
         if l == j:
             continue
-        coef = cfg.P_d / (K_d * factors.gamma[l])
         for k in range(K_d):
-            bsbs += coef * abs(g.conj() @ real.V[j, l] @ real.G_d[l, l, :, k].conj()) ** 2
+            bsbs += coef[l] * abs(g.conj() @ real.V[j, l] @ real.G_d[l, l, :, k].conj()) ** 2
     noise = nrm2 * (cfg.sigma2 + cfg.kappa * cfg.P_d * profile.beta_b[j, j])
     return num / (cfg.P_u * cross + bsbs + noise)
 
 
 def dl_sinr_fd_perfect(real: ChannelRealization, cfg: SystemConfig,
-                       factors: PerCellFactors, profile: LargeScaleProfile,
+                       coef: np.ndarray, profile: LargeScaleProfile,
                        l: int, k: int, user_class: str) -> float:
     """Downlink SINR of user k in cell l; user_class is "FD" or "HD"."""
     K_f, K_d, K_u, L = real.K_f, profile.K_d, profile.K_u, profile.L
@@ -197,14 +199,13 @@ def dl_sinr_fd_perfect(real: ChannelRealization, cfg: SystemConfig,
     nrm2 = float(np.vdot(g, g).real)
     if nrm2 == 0.0:
         raise ZeroDivisionError("zero-norm channel vector")
-    num = cfg.P_d / (K_d * factors.gamma[l]) * nrm2 ** 2
+    num = coef[l] * nrm2 ** 2
     cross = 0.0
     for j in range(L):
-        coef = cfg.P_d / (K_d * factors.gamma[j])
         for i in range(K_d):
             if (j, i) == (l, k):
                 continue
-            cross += coef * abs(real.G_d[j, l, :, k] @ real.G_d[j, j, :, i].conj()) ** 2
+            cross += coef[j] * abs(real.G_d[j, l, :, k] @ real.G_d[j, j, :, i].conj()) ** 2
     ue = 0.0
     for j in range(L):
         for n in range(K_u):
@@ -219,7 +220,7 @@ def dl_sinr_fd_perfect(real: ChannelRealization, cfg: SystemConfig,
 
 
 def ul_sinr_fd_imperfect(real: ChannelRealization, est: ChannelEstimateSet,
-                         cfg: SystemConfig, factors: PerCellFactors,
+                         cfg: SystemConfig, coef: np.ndarray,
                          profile: LargeScaleProfile, j: int, n: int) -> float:
     """Uplink SINR with MMSE estimates treated as the true channel."""
     gh = est.g_hat_u[j, :, n]
@@ -238,9 +239,8 @@ def ul_sinr_fd_imperfect(real: ChannelRealization, est: ChannelEstimateSet,
     for l in range(L):
         if l == j:
             continue
-        coef = cfg.P_d / (K_d * factors.gamma_tilde[l])
         for k in range(K_d):
-            bsbs += coef * abs(gh.conj() @ real.V[j, l] @ est.g_hat_d[l, :, k].conj()) ** 2
+            bsbs += coef[l] * abs(gh.conj() @ real.V[j, l] @ est.g_hat_d[l, :, k].conj()) ** 2
     noise = nrm2 * (cfg.sigma2 + cfg.kappa * cfg.P_d * profile.beta_b[j, j])
     return num / (err + cfg.P_u * cross + bsbs + noise)
 
@@ -250,14 +250,12 @@ def ul_sinr_fd_imperfect(real: ChannelRealization, est: ChannelEstimateSet,
 # ---------------------------------------------------------------------------
 
 def prop1_rates_loop(profile: LargeScaleProfile, cfg: SystemConfig,
-                factors: PerCellFactors | None = None, system: str = "fd"):
+                     system: str = "fd"):
     """Jensen lower bounds on the ergodic rates under perfect CSI.
 
     Returns (ul, dl) arrays of shape (L, K_u) and (L, K_d).
     """
-    _require_m3(cfg)
-    if factors is None:
-        factors = per_cell_factors(profile, cfg)
+    _check_inputs(profile, cfg, closed_forms=True)
     L, K_u, K_d, K_f, M = profile.L, profile.K_u, profile.K_d, profile.K_f, cfg.M
     fd = system == "fd"
     jj = np.arange(L)
@@ -275,7 +273,7 @@ def prop1_rates_loop(profile: LargeScaleProfile, cfg: SystemConfig,
 
     dl = np.empty((L, K_d))
     for l in range(L):
-        eta = factors.eta[l]
+        eta = 1.0 / (M * bd[l, l].sum())
         for k in range(K_d):
             I_down = eta * cfg.P_d * (M - 2) * bd[l, l, k] * (bd[l, l].sum() - bd[l, l, k])
             I_down += cfg.P_d * (bd[:, l, k].sum() - bd[l, l, k])
@@ -291,18 +289,17 @@ def prop1_rates_loop(profile: LargeScaleProfile, cfg: SystemConfig,
 
 
 def prop2_rates_loop(profile: LargeScaleProfile, cfg: SystemConfig,
-                factors: PerCellFactors | None = None, system: str = "fd"):
+                     system: str = "fd"):
     """Lower bounds on the ergodic rates under MMSE-estimated CSI."""
-    _require_m3(cfg)
-    if factors is None:
-        factors = per_cell_factors(profile, cfg)
+    _check_inputs(profile, cfg, closed_forms=True)
     st = estimation_stats(profile, cfg)
     L, K_u, K_d, K_f, M = profile.L, profile.K_u, profile.K_d, profile.K_f, cfg.M
     fd = system == "fd"
     P_u, P_d, P_tr, s2 = cfg.P_u, cfg.P_d, cfg.P_tr, cfg.sigma2
     bu, bd, bb, bI = profile.beta_u, profile.beta_d, profile.beta_b, profile.beta_I
-    eta_t = factors.eta_tilde
     lam_u, lam_d = st.lam_u, st.lam_d
+    eta_t = [1.0 / sum(bd[l, l, k] ** 2 / lam_d[l, k] for k in range(K_d))
+             for l in range(L)]
 
     ul = np.empty((L, K_u))
     for j in range(L):
@@ -429,7 +426,7 @@ def kernel_rates(draw, profile, cfg, system, csi, trials, seed, batch=64):
     included, so a sampler is checked on every vector the kernels read.
     Returns (ul, ul_stderr, dl, dl_stderr).
     """
-    factors = per_cell_factors(profile, cfg)
+    coef = per_cell_factors(profile, cfg, csi)
     acc = {"ul": [0.0, 0.0], "dl": [0.0, 0.0]}
     done = t = 0
     while done < trials:
@@ -437,8 +434,8 @@ def kernel_rates(draw, profile, cfg, system, csi, trials, seed, batch=64):
         rng = trial_rng(seed, t)
         t += 1
         d = draw(rng, B)
-        lu = _batch_ul_logrates(d, profile, cfg, factors, system, csi, rng)
-        ld = _batch_dl_logrates(d, profile, cfg, factors, system, csi)
+        lu = _batch_ul_logrates(d, profile, cfg, coef, system, csi, rng)
+        ld = _batch_dl_logrates(d, profile, cfg, coef, system, csi)
         for key, x in (("ul", lu), ("dl", ld)):
             acc[key][0] = acc[key][0] + x.sum(axis=0)
             acc[key][1] = acc[key][1] + (x ** 2).sum(axis=0)
@@ -449,3 +446,39 @@ def kernel_rates(draw, profile, cfg, system, csi, trials, seed, batch=64):
         var = np.maximum(acc[key][1] / trials - mean ** 2, 0.0)
         out += [mean, np.sqrt(var / trials)]
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Wishart inverse moments
+# ---------------------------------------------------------------------------
+
+def wishart_inverse_moments(m: int, n: int) -> tuple[float, float]:
+    """E[tr W^-1] and E[tr W^-2] of a central complex Wishart W_m(n, I)."""
+    if n <= m:
+        raise ValueError("first inverse moment requires n > m")
+    if n <= m + 1:
+        raise ValueError("second inverse moment requires n > m + 1")
+    d = n - m
+    return m / d, m * n / (d ** 3 - d)
+
+
+# ---------------------------------------------------------------------------
+# Drop gains one link at a time
+# ---------------------------------------------------------------------------
+
+def link_gains_loop(pl: PathlossModel, a: np.ndarray, b: np.ndarray, rng,
+                    gain_dbi: float) -> np.ndarray:
+    """Gains for all pairs of points in a (..., 2) x (..., 2); independent
+    log-normal shadowing per link."""
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    shadow = rng.normal(0.0, pl.shadowing_std, size=d.shape)
+    out = np.empty_like(d)
+    for idx, dist in np.ndenumerate(d):
+        # zero distance marks a self link; its gain is overwritten by the caller
+        if dist == 0.0:
+            out[idx] = 0.0
+            continue
+        loss_db = pl.A + pl.B * math.log10(dist)
+        total_db = -loss_db + gain_dbi - pl.extra_loss + shadow[idx]
+        out[idx] = 10.0 ** (total_db / 10.0)
+    return out

@@ -1,9 +1,11 @@
+import pathlib
+import re
 import types
 
 import fdmimo
 
 PUBLIC = [
-    "EstimationStats", "ExperimentResult", "GainReport", "HomogeneousConfig",
+    "EstimationStats", "ExperimentResult", "HomogeneousConfig",
     "LargeScaleProfile", "PathlossModel", "PowerScalingSchedule", "RateReport",
     "ScenarioParams", "SystemConfig", "Topology", "TopologyError",
     "TradeoffPoint", "ValidationResult", "antenna_reduction_curve",
@@ -13,12 +15,13 @@ PUBLIC = [
     "estimation_stats", "expand_homogeneous", "experiment_gain_vs_M",
     "experiment_gain_vs_kappa", "experiment_power_scaling", "experiment_rates",
     "experiment_tightness", "experiment_tradeoff", "fd_gain", "fd_rates_mc",
-    "homogeneous_rates", "load_scenario", "load_system_config", "overheads",
+    "homogeneous_rates", "load_scenario", "overheads",
     "profile_from_topology", "prop1_rates", "prop2_rates", "reference_schedule",
     "run_drop", "sample_hexagon", "scenario_params_from_dict",
-    "system_config_from_dict", "tdd_rates_mc", "trial_rng", "validate",
-    "wishart_inverse_moments",
+    "tdd_rates_mc", "trial_rng", "validate",
 ]
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_public_names_pinned():
@@ -26,3 +29,18 @@ def test_public_names_pinned():
     names = sorted(n for n, v in vars(fdmimo).items()
                    if not n.startswith("_") and not isinstance(v, types.ModuleType))
     assert names == sorted(PUBLIC)
+
+
+def test_benchmark_names_exist():
+    """Every ``fd.<name>`` the benchmark reads is still on the package, and
+    ``validate`` still takes ``closed_forms``, so a deletion cannot break
+    the benchmark unnoticed."""
+    used = set()
+    for path in PERFBENCH.glob("*.py"):
+        used |= set(re.findall(r"\bfd\.([A-Za-z_]\w*)", path.read_text()))
+    assert "fd_rates_mc" in used and "validate" in used
+    assert sorted(n for n in used if not hasattr(fdmimo, n)) == []
+    cfg = fdmimo.HomogeneousConfig(L=2, K=1, beta=0.3, M=2, P_u=1.0, P_d=1.0,
+                                   P_tr=1.0, kappa=0.0, T=10).system_config()
+    assert fdmimo.validate(cfg).ok
+    assert not fdmimo.validate(cfg, closed_forms=True).ok

@@ -7,12 +7,12 @@ from fdmimo import (HomogeneousConfig, LargeScaleProfile,
                     PowerScalingSchedule, SystemConfig,
                     antenna_reduction_curve, asymptotic_gain_limits,
                     asymptotic_rates, closed_form_report, expand_homogeneous,
-                    fd_gain, homogeneous_rates, prop1_rates, prop2_rates,
-                    wishart_inverse_moments)
+                    fd_gain, homogeneous_rates, prop1_rates, prop2_rates)
 from fdmimo.experiments import reference_schedule
 
 from conftest import random_config, random_profile, uniform_mixed_profile
-from reference import asymptotic_rates_loop, prop1_rates_loop, prop2_rates_loop
+from reference import (asymptotic_rates_loop, prop1_rates_loop, prop2_rates_loop,
+                       wishart_inverse_moments)
 
 
 def unit_profile():
@@ -63,6 +63,22 @@ def test_bounds_require_m3():
         prop1_rates(unit_profile(), unit_cfg(M=2))
     with pytest.raises(ValueError):
         prop2_rates(unit_profile(), unit_cfg(M=2))
+
+
+@pytest.mark.parametrize("fn", [prop1_rates, prop2_rates], ids=["prop1", "prop2"])
+@pytest.mark.parametrize("kw,match", [
+    (dict(P_u=-1.0), "P_u"),
+    (dict(sigma2=float("nan")), "sigma2"),
+    (dict(T=1), "< T"),
+    (dict(K_f=1, K_h_u=2, K_h_d=3, tau=None, tau_u=None, tau_d=None),
+     "disagree on K_f"),
+    (dict(L=2), "disagree on L"),
+], ids=["P_u", "sigma2", "T", "K_f", "L"])
+def test_closed_forms_check_inputs(small_profile, small_config, fn, kw, match):
+    """The closed forms reject what the Monte Carlo driver rejects: an
+    invalid config, or one whose counts disagree with the profile."""
+    with pytest.raises(ValueError, match=match):
+        fn(small_profile, small_config.replace(**kw))
 
 
 @pytest.mark.parametrize("system", ["fd", "tdd"])
@@ -201,11 +217,11 @@ def test_asymptotic_gain_limits_values():
 def test_fd_gain_shapes_and_asymptotes(small_profile, small_config):
     fd = closed_form_report(small_profile, small_config, "perfect", "fd")
     tdd = closed_form_report(small_profile, small_config, "perfect", "tdd")
-    g = fd_gain(fd, tdd, small_config)
-    assert g.asymptote_ul == 2.0 and g.gain_ul > 0
+    g_ul, g_dl = fd_gain(fd, tdd)
+    assert g_ul > 0 and g_dl > 0
     # per-user TDD rates dominate FD rates; the gain comes from concurrency
     assert (fd.ul_rates <= tdd.ul_rates + 1e-12).all()
-    assert g.gain_ul < 2.0
+    assert g_ul < 2.0
 
 
 def test_wishart_moment_formulas():

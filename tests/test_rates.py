@@ -17,16 +17,17 @@ def as_batch(real):
 
 
 def test_per_cell_factors_values(small_profile, small_config):
-    fac = per_cell_factors(small_profile, small_config)
+    """P_d / (K_d gamma): perfect CSI divides P_d by M times the own-cell
+    gains, estimated CSI by M times the estimates' variances."""
+    cfg = small_config
     jj = np.arange(small_profile.L)
     own = small_profile.beta_d[jj, jj]
+    lam = cfg.sigma2 + cfg.P_tr * small_profile.beta_d.sum(axis=1)
+    np.testing.assert_allclose(per_cell_factors(small_profile, cfg, "perfect"),
+                               cfg.P_d / (cfg.M * own.sum(axis=1)))
     np.testing.assert_allclose(
-        fac.gamma, small_config.M * own.sum(axis=1) / small_profile.K_d)
-    np.testing.assert_allclose(fac.eta * fac.gamma,
-                               1.0 / small_profile.K_d)
-    np.testing.assert_allclose(
-        fac.eta_tilde * fac.gamma_tilde,
-        small_config.M * small_config.P_tr / small_profile.K_d)
+        per_cell_factors(small_profile, cfg, "imperfect"),
+        cfg.P_d / (cfg.M * (cfg.P_tr * own ** 2 / lam).sum(axis=1)))
 
 
 def test_overheads_all_cases():
@@ -48,8 +49,8 @@ def test_single_cell_uplink_reduces_to_snr():
     cfg = SystemConfig(L=1, M=8, K_f=0, K_h_u=1, K_h_d=1, P_u=3.0, P_d=1.0,
                        P_tr=1.0, kappa=0.0, sigma2=2.0, T=50)
     real = realize_channels(prof, 4, cfg.M)
-    fac = per_cell_factors(prof, cfg)
-    lu = _batch_ul_logrates(as_batch(real), prof, cfg, fac, "tdd", "perfect",
+    coef = per_cell_factors(prof, cfg, "perfect")
+    lu = _batch_ul_logrates(as_batch(real), prof, cfg, coef, "tdd", "perfect",
                             np.random.default_rng(0))[0]
     g = real.G_u[0, 0, :, 0]
     snr = 3.0 * np.vdot(g, g).real / 2.0
@@ -58,14 +59,14 @@ def test_single_cell_uplink_reduces_to_snr():
 
 def test_batch_matches_loop_dl_perfect(small_profile, small_config):
     real = realize_channels(small_profile, 21, small_config.M)
-    fac = per_cell_factors(small_profile, small_config)
-    ld = _batch_dl_logrates(as_batch(real), small_profile, small_config, fac,
+    coef = per_cell_factors(small_profile, small_config, "perfect")
+    ld = _batch_dl_logrates(as_batch(real), small_profile, small_config, coef,
                             "fd", "perfect")[0]
     K_f = small_profile.K_f
     for l in range(small_profile.L):
         for k in range(small_profile.K_d):
             cls = "FD" if k < K_f else "HD"
-            ref = np.log2(1 + dl_sinr_fd_perfect(real, small_config, fac,
+            ref = np.log2(1 + dl_sinr_fd_perfect(real, small_config, coef,
                                                  small_profile, l, k, cls))
             assert ld[l, k] == pytest.approx(ref, rel=1e-10)
 
@@ -80,12 +81,12 @@ def test_batch_matches_loop_ul_without_bs_bs(small_profile, small_config):
                                    beta_I=small_profile.beta_I,
                                    K_f=small_profile.K_f)
     real = realize_channels(prof, 22, small_config.M)
-    fac = per_cell_factors(prof, small_config)
-    lu = _batch_ul_logrates(as_batch(real), prof, small_config, fac, "fd",
+    coef = per_cell_factors(prof, small_config, "perfect")
+    lu = _batch_ul_logrates(as_batch(real), prof, small_config, coef, "fd",
                             "perfect", np.random.default_rng(0))[0]
     for j in range(prof.L):
         for n in range(prof.K_u):
-            ref = np.log2(1 + ul_sinr_fd_perfect(real, small_config, fac,
+            ref = np.log2(1 + ul_sinr_fd_perfect(real, small_config, coef,
                                                  prof, j, n))
             assert lu[j, n] == pytest.approx(ref, rel=1e-10)
 
@@ -94,14 +95,14 @@ def test_bs_bs_term_statistically_consistent(small_profile, small_config):
     """Uplink mean rates from the resampled BS-BS term match the direct
     M x M evaluation within Monte Carlo error."""
     trials = 500
-    fac = per_cell_factors(small_profile, small_config)
+    coef = per_cell_factors(small_profile, small_config, "perfect")
     acc = np.zeros((small_profile.L, small_profile.K_u))
     for t in range(trials):
         real = realize_channels(small_profile, trial_rng(31, t), small_config.M)
         for j in range(small_profile.L):
             for n in range(small_profile.K_u):
                 acc[j, n] += np.log2(1 + ul_sinr_fd_perfect(
-                    real, small_config, fac, small_profile, j, n))
+                    real, small_config, coef, small_profile, j, n))
     loop = acc / trials
     rep = fd_rates_mc(small_profile, small_config, 4000, 77, csi="perfect")
     loop_se = np.abs(loop).max() / np.sqrt(trials) * 0.5   # coarse scale
@@ -111,8 +112,8 @@ def test_bs_bs_term_statistically_consistent(small_profile, small_config):
 def test_imperfect_ul_loop_reference(small_profile, small_config):
     real = realize_channels(small_profile, 23, small_config.M)
     est = estimate_all(real, small_profile, small_config, 24)
-    fac = per_cell_factors(small_profile, small_config)
-    s = ul_sinr_fd_imperfect(real, est, small_config, fac, small_profile, 1, 2)
+    coef = per_cell_factors(small_profile, small_config, "imperfect")
+    s = ul_sinr_fd_imperfect(real, est, small_config, coef, small_profile, 1, 2)
     assert np.isfinite(s) and s > 0
 
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from fdmimo import ScenarioParams, run_drop, scenario_params_from_dict
+from fdmimo import scenario
 from fdmimo.scenario import (DEFAULT_PATHLOSS, drop_topology, load_scenario,
                              profile_from_topology)
+
+from reference import link_gains_loop
 
 
 def test_default_noise_figures():
@@ -48,6 +51,20 @@ def test_profile_from_topology_structure():
     own = prof.beta_u[jj, jj].mean()
     cross = (prof.beta_u.sum() - prof.beta_u[jj, jj].sum()) / (12 * 11 * 5)
     assert own > 10 * cross
+
+
+def test_profile_matches_link_loop(monkeypatch):
+    """The array gains equal the one-link-at-a-time loop on the same shadowing
+    draws, bit for bit."""
+    p = ScenarioParams()
+    for d in range(4):
+        topo = drop_topology(p, np.random.default_rng([5, d]))
+        got = profile_from_topology(p, topo, np.random.default_rng([6, d]))
+        with monkeypatch.context() as m:
+            m.setattr(scenario, "_link_gains", link_gains_loop)
+            want = profile_from_topology(p, topo, np.random.default_rng([6, d]))
+        for name in ("beta_u", "beta_d", "beta_b", "beta_I"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_scenario_roundtrip(tmp_path):
