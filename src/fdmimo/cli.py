@@ -8,6 +8,7 @@ with a diagnostic on any validation or infeasibility error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .channel import TopologyError
@@ -89,6 +90,9 @@ def build_parser():
     p.add_argument("--drops", type=int, default=20)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--kappa-db-list", type=_float_list, default=None)
+    # Let "-50,-70" be a value: argparse takes it for an option, since only
+    # plain negative numbers count as values before Python 3.13.
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--antennas", type=int, default=100)
 
     p = sub.add_parser("rates", help="one-off homogeneous rate report (FD and TDD)")

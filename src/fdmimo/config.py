@@ -127,6 +127,8 @@ class LargeScaleProfile:
     beta_I[l, k, j, n]  gain between uplink user n of cell j and downlink
                         user k of cell l; [l, k, l, k] with k < K_f is the UE
                         self-interference gain.
+    An FD user (index < K_f) has one channel to each BS for both directions,
+    so beta_u[..., :K_f] must equal beta_d[..., :K_f].
     """
 
     beta_u: np.ndarray
@@ -148,11 +150,9 @@ class LargeScaleProfile:
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
                 raise ValueError(f"{name}: entries must be strictly positive and finite")
-        jj = np.arange(L)
-        if not np.array_equal(self.beta_u[jj, jj, :self.K_f],
-                              self.beta_d[jj, jj, :self.K_f]):
-            raise ValueError("reciprocity: beta_u[j,j,i] must equal "
-                             "beta_d[j,j,i] for full-duplex users")
+        if not np.array_equal(self.beta_u[..., :self.K_f], self.beta_d[..., :self.K_f]):
+            raise ValueError("reciprocity: beta_u[j,l,i] must equal "
+                             "beta_d[j,l,i] for full-duplex users")
 
     @property
     def L(self) -> int:

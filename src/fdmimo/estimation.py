@@ -4,11 +4,13 @@ with cross-cell pilot reuse.
 Pilot assignment: slot n (n < K_u) carries uplink user n, with full-duplex
 users in the first K_f slots so the same pilot also yields the downlink
 precoding channel.  Half-duplex downlink user k (k >= K_f) uses slot
-K_u + (k - K_f).  Every cell reuses the same slots, and reception is
-synchronized across cells (worst-case pilot contamination).
+K_u + (k - K_f): K_tot slots in all.  TDD pilots train the two directions
+apart, so downlink user k uses slot K_u + k: K_u + K_d slots.  Every cell
+reuses the same slots, and reception is synchronized across cells
+(worst-case pilot contamination).
 
-The Monte Carlo sampler (:mod:`fdmimo.rates`) draws the post-correlation
-observations, which is statistically identical to transmitting symbol-level
+The Monte Carlo sampler (:mod:`fdmimo.rates`) draws one post-correlation
+observation per slot, statistically identical to transmitting symbol-level
 pilot matrices; the closed forms use only the statistics below.
 """
 

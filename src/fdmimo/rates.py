@@ -19,8 +19,8 @@ r = min(M, D) dimensions, so the engine draws those coordinates with their
 exact joint law (:class:`_TrialSampler`):
 
 * Every vector at BS j is a fixed real combination of S independent unit
-  sources, the channels and pilot noises seen there: the span is Xi C for an
-  M x S i.i.d. CN(0, 1) matrix Xi and an S x D coefficient matrix C.  With
+  sources, one per channel and pilot noise seen there: the span is Xi C for
+  an M x S i.i.d. CN(0, 1) matrix Xi and an S x D coefficient matrix C.  With
   C = Q R_C (QR), Xi Q is again i.i.d., and its QR factor R0 is the complex
   Bartlett factor: r x D upper-trapezoidal, |R0[i, i]|^2 ~ Gamma(M - i, 1),
   CN(0, 1) above the diagonal (Odell & Feiveson, 1966).  The span's
@@ -35,10 +35,10 @@ Different BSs see independent channels and noises, so each BS is drawn on its
 own, and a trial costs O(L^2 K^2) draws whatever M is.
 
 The M x M BS-BS matrices are never formed either: for a combining vector w
-fixed by the realization, V^H w has i.i.d. CN(0, beta_b |w|^2) entries
-independent of everything else, so an equivalent r-vector is drawn directly
-against the precoders' coordinates.  Per-user rate distributions are exactly
-those of the M-vector model.
+fixed by the realization, such a matrix H gives H^H w with i.i.d.
+CN(0, beta_b |w|^2) entries independent of everything else, so an equivalent
+r-vector is drawn directly against the precoders' coordinates.  Per-user
+rate distributions are exactly those of the M-vector model.
 """
 
 from __future__ import annotations
@@ -147,24 +147,31 @@ class _TrialSampler:
 
     ``draw`` returns what the M-vector model would give, with every M-vector
     replaced by its r = min(M, D) coordinates in an orthonormal basis of its
-    BS's span (module docstring).  The sources seen at BS j are ordered as
-    uplink channels (L * K_u, cell-major), downlink channels (L * K_d), then
-    the pilot noises of the uplink and downlink slots (K_u, K_d).  The
-    own-cell downlink channels of FD users are the uplink ones, so their
-    downlink sources go unused.
+    BS's span (module docstring), plus the combiners W and precoders V the
+    CSI mode calls for.  Every source seen at BS j is one physical random
+    quantity that some output reads: the uplink channels (L * K_u,
+    cell-major), the HD downlink channels (L * (K_d - K_f)), then one noise
+    per pilot slot (estimation module), none with perfect CSI.  An FD user's
+    downlink channel is its uplink channel at every BS.  The UE-UE matrix F
+    is drawn for FD runs only, without the FD-pair reciprocity
+    F[l, k, j, n] = F[j, n, l, k]: no per-user rate depends on it.
     """
 
-    def __init__(self, profile, cfg, need_est, tdd_pilots):
-        self.profile, self.cfg, self.tdd_pilots = profile, cfg, tdd_pilots
-        L, K_u, K_d = profile.L, profile.K_u, profile.K_d
+    def __init__(self, profile, cfg, need_est, tdd):
+        self.profile, self.cfg, self.tdd = profile, cfg, tdd
+        L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
+        # FD users whose precoder is their combiner: all, unless TDD pilots
+        # estimate their two directions in separate slots.
+        self.shared = 0 if need_est and tdd else K_f
         self.mmse = None
+        S = L * (K_u + K_d - K_f)
         if need_est:
             st = estimation_stats(profile, cfg)
             jj = np.arange(L)
             self.mmse = (cfg.P_tr * profile.beta_u[jj, jj] / st.lam_u,   # (L, K_u)
                          cfg.P_tr * profile.beta_d[jj, jj] / st.lam_d,   # (L, K_d)
                          math.sqrt(cfg.sigma2 / cfg.P_tr))
-        S = L * (K_u + K_d) + K_u + K_d
+            S += K_u + K_d - self.shared
         # Assembling the identity gives each span vector's source coefficients.
         coef = self._span(self._assemble(np.broadcast_to(np.eye(S), (1, L, S, S))))[0]
         # Unit columns span the same space and keep QR accurate when gains
@@ -177,55 +184,43 @@ class _TrialSampler:
         """The batch dict from unit-source coordinates T of shape (B, L, r, S)."""
         p = self.profile
         B, L, r = T.shape[:3]
-        K_u, K_d, K_f = p.K_u, p.K_d, p.K_f
-        a, b = L * K_u, L * (K_u + K_d)
-        Gu = np.moveaxis(T[..., :a].reshape(B, L, r, L, K_u), 3, 2) \
-            * np.sqrt(p.beta_u[:, :, None, :])
-        Gd = np.moveaxis(T[..., a:b].reshape(B, L, r, L, K_d), 3, 2) \
-            * np.sqrt(p.beta_d[:, :, None, :])
+        K_u, K_f, K_h = p.K_u, p.K_f, p.K_d - p.K_f
+        a, b = L * K_u, L * (K_u + K_h)
+        Tu = T[..., :a].reshape(B, L, r, L, K_u)
+        Td = np.concatenate([Tu[..., :K_f], T[..., a:b].reshape(B, L, r, L, K_h)],
+                            axis=-1)
+        Gu = np.moveaxis(Tu, 3, 2) * np.sqrt(p.beta_u[:, :, None, :])
+        Gd = np.moveaxis(Td, 3, 2) * np.sqrt(p.beta_d[:, :, None, :])
         jj = np.arange(L)
-        Gd[:, jj, jj, :, :K_f] = Gu[:, jj, jj, :, :K_f]
-        out = {"Gu": Gu, "Gd": Gd}
         if self.mmse is None:
-            return out
+            return {"Gu": Gu, "Gd": Gd, "W": Gu[:, jj, jj], "V": Gd[:, jj, jj]}
         cu, cd, scale = self.mmse
-        Ghu = cu[:, None, :] * (Gu.sum(axis=2) + scale * T[..., b:b + K_u])
-        Ghd = cd[:, None, :] * (Gd.sum(axis=2) + scale * T[..., b + K_u:])
-        if not self.tdd_pilots:
-            # Full-duplex training: one shared pilot per FD user.
-            Ghd[..., :K_f] = Ghu[..., :K_f]
-        out["Ghu"] = Ghu
-        out["Ghd"] = Ghd
-        out["Eps"] = Gu[:, jj, jj] - Ghu
-        return out
+        # Pilot observations: slot n < K_u carries uplink user n; each
+        # downlink user without a shared slot has one of the later slots.
+        Y = np.concatenate([Gu.sum(axis=2), Gd.sum(axis=2)[..., self.shared:]],
+                           axis=-1) + scale * T[..., b:]
+        W = cu[:, None, :] * Y[..., :K_u]
+        V = np.concatenate([W[..., :self.shared],
+                            cd[:, None, self.shared:] * Y[..., K_u:]], axis=-1)
+        return {"Gu": Gu, "Gd": Gd, "W": W, "V": V, "Eps": Gu[:, jj, jj] - W}
 
     def _span(self, d):
-        """Each BS's combiners and the precoders not among them, (B, L, r, D).
-
-        An FD user's precoder is its combiner, unless TDD pilots estimate
-        its two directions separately.
-        """
-        if self.mmse is None:
-            jj = np.arange(self.profile.L)
-            W, pre = d["Gu"][:, jj, jj], d["Gd"][:, jj, jj]
-        else:
-            W, pre = d["Ghu"], d["Ghd"]
-        if self.mmse is None or not self.tdd_pilots:
-            pre = pre[..., self.profile.K_f:]
-        return np.concatenate([W, pre], axis=-1)
+        """Each BS's combiners and the precoders not among them, (B, L, r, D)."""
+        return np.concatenate([d["W"], d["V"][..., self.shared:]], axis=-1)
 
     def draw(self, rng, B):
-        """A batch of B coherence blocks: keys Gu, Gd, F, and with estimation
-        Ghu, Ghd, Eps, shaped as in the M-vector model with r for M."""
+        """A batch of B coherence blocks: keys Gu, Gd, W, V, with estimation
+        Eps, and in FD runs F, shaped as in the M-vector model with r for M."""
         p, Q, r = self.profile, self.basis, self.r
         L, S, D = Q.shape
         R0 = np.triu(draw_cn(rng, (B, L, r, D)), 1)
         idx = np.arange(r)
         R0[..., idx, idx] = np.sqrt(rng.gamma(self.cfg.M - idx, size=(B, L, r)))
-        fresh = draw_cn(rng, (B, L, r, S))
-        T = (R0 - fresh @ Q) @ Q.swapaxes(1, 2) + fresh
+        T = draw_cn(rng, (B, L, r, S))                   # Xi'
+        T += (R0 - T @ Q) @ Q.swapaxes(1, 2)             # R0 Q^T + Xi' (I - Q Q^T)
         out = self._assemble(T)
-        out["F"] = draw_cn(rng, (B, L, p.K_d, L, p.K_u)) * np.sqrt(p.beta_I)
+        if not self.tdd:
+            out["F"] = draw_cn(rng, (B, L, p.K_d, L, p.K_u)) * np.sqrt(p.beta_I)
         return out
 
 
@@ -237,26 +232,24 @@ def _batch_ul_logrates(d, profile, cfg, coef, system, csi, rng):
     L, K_u = profile.L, profile.K_u
     B, r = d["Gu"].shape[0], d["Gu"].shape[3]
     out = np.empty((B, L, K_u))
-    imperfect = csi == "imperfect"
     if system == "fd":
         Z = draw_cn(rng, (B, L, L, r, K_u))
-        pre = d["Ghd"] if imperfect else d["Gd"][:, np.arange(L), np.arange(L)]
     for j in range(L):
-        W = d["Ghu"][:, j] if imperfect else d["Gu"][:, j, j]        # (B, M, K_u)
+        W = d["W"][:, j]                                              # (B, M, K_u)
         nrm2 = np.einsum("bmn,bmn->bn", W.conj(), W).real             # (B, K_u)
         Gall = np.moveaxis(d["Gu"][:, j], 1, 2).reshape(B, r, L * K_u)
         P = np.einsum("bmn,bmx->bnx", W.conj(), Gall)
         own = P[:, np.arange(K_u), j * K_u + np.arange(K_u)]
         cross = (np.abs(P) ** 2).sum(axis=2) - np.abs(own) ** 2
         denom = cfg.P_u * cross
-        if imperfect:
+        if csi == "imperfect":
             e = np.einsum("bmn,bmn->bn", W.conj(), d["Eps"][:, j])
             denom = denom + cfg.P_u * np.abs(e) ** 2
         if system == "fd":
             for l in range(L):
                 if l == j:
                     continue
-                S = np.einsum("bmn,bmk->bnk", Z[:, j, l].conj(), pre[:, l].conj())
+                S = np.einsum("bmn,bmk->bnk", Z[:, j, l].conj(), d["V"][:, l].conj())
                 denom = denom + (coef[l] * profile.beta_b[j, l]) * nrm2 \
                     * (np.abs(S) ** 2).sum(axis=2)
             noise = cfg.sigma2 + cfg.kappa * cfg.P_d * profile.beta_b[j, j]
@@ -270,21 +263,22 @@ def _batch_ul_logrates(d, profile, cfg, coef, system, csi, rng):
 def _batch_dl_logrates(d, profile, cfg, coef, system, csi):
     """log2(1+SINR) for every downlink user in a batch; shape (B, L, K_d).
 
-    Handles perfect CSI (fd and tdd) and tdd/imperfect; fd/imperfect downlink
-    is analytic and not simulated here.  ``coef`` is :func:`per_cell_factors`
-    for this ``csi``.
+    With estimated CSI the user decodes against the mean of its own gain; the
+    SINR denominator then has the mean of :func:`dl_rates_fd_imperfect`, so
+    by Jensen this simulates a rate above that bound, which the driver
+    reports for fd/imperfect.  ``coef`` is :func:`per_cell_factors` for this
+    ``csi``.
     """
     L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
     B = d["Gd"].shape[0]
     imperfect = csi == "imperfect"
     jj = np.arange(L)
-    pre = d["Ghd"] if imperfect else d["Gd"][:, jj, jj]               # (B, L, M, K_d)
     if imperfect:
         st = estimation_stats(profile, cfg)
         Emu = cfg.M * cfg.P_tr * profile.beta_d[jj, jj] ** 2 / st.lam_d   # (L, K_d)
     out = np.empty((B, L, K_d))
     for l in range(L):
-        C = np.einsum("bjmk,bjmi->bjki", d["Gd"][:, :, l], pre.conj())    # (B, L, K_d, K_d)
+        C = np.einsum("bjmk,bjmi->bjki", d["Gd"][:, :, l], d["V"].conj())  # (B,L,K_d,K_d)
         total = np.einsum("j,bjki->bk", coef, np.abs(C) ** 2)
         own = C[:, l, np.arange(K_d), np.arange(K_d)]                     # (B, K_d)
         cross = total - coef[l] * np.abs(own) ** 2
@@ -325,7 +319,7 @@ def _mc_rates(profile, cfg, system, csi, trials, seed):
     do_dl = not (system == "fd" and csi == "imperfect")
     L, K_u, K_d = profile.L, profile.K_u, profile.K_d
     coef = per_cell_factors(profile, cfg, csi)
-    sampler = _TrialSampler(profile, cfg, need_est, tdd_pilots=(system == "tdd"))
+    sampler = _TrialSampler(profile, cfg, need_est, tdd=(system == "tdd"))
     sum_u = np.zeros((L, K_u)); sq_u = np.zeros((L, K_u))
     sum_d = np.zeros((L, K_d)); sq_d = np.zeros((L, K_d))
     for t, done in enumerate(range(0, trials, _BATCH)):

@@ -56,15 +56,15 @@ class ChannelRealization:
 def realize_channels(profile: LargeScaleProfile, rng, M: int) -> ChannelRealization:
     """Draw all channel matrices for one coherence block.
 
-    Deterministic for a given rng seed.  Full-duplex users' same-cell uplink
-    and downlink columns are copies of each other (reciprocity), not redrawn.
+    Deterministic for a given rng seed.  A full-duplex user has one channel
+    to each BS: its downlink columns are copies of its uplink ones at every
+    BS (reciprocity), not redrawn.
     """
     rng = np.random.default_rng(rng)
     L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
     G_u = draw_cn(rng, (L, L, M, K_u)) * np.sqrt(profile.beta_u[:, :, None, :])
     G_d = draw_cn(rng, (L, L, M, K_d)) * np.sqrt(profile.beta_d[:, :, None, :])
-    for j in range(L):
-        G_d[j, j, :, :K_f] = G_u[j, j, :, :K_f]
+    G_d[..., :K_f] = G_u[..., :K_f]
     V = draw_cn(rng, (L, L, M, M)) * np.sqrt(profile.beta_b[:, :, None, None])
     F = draw_cn(rng, (L, K_d, L, K_u)) * np.sqrt(profile.beta_I)
     return ChannelRealization(G_u=G_u, G_d=G_d, V=V, F=F, K_f=K_f)
@@ -389,16 +389,17 @@ def asymptotic_rates_loop(profile: LargeScaleProfile, cfg: SystemConfig,
 # ---------------------------------------------------------------------------
 
 def vector_draw_trials(profile, cfg, rng, B, need_est, tdd_pilots):
-    """Draw a batch of B coherence blocks (and estimates when requested)."""
+    """Draw a batch of B coherence blocks (and estimates when requested),
+    with the combiners W and precoders V of the CSI mode."""
     L, K_u, K_d, K_f, M = profile.L, profile.K_u, profile.K_d, profile.K_f, cfg.M
     Gu = draw_cn(rng, (B, L, L, M, K_u)) * np.sqrt(profile.beta_u[:, :, None, :])
     Gd = draw_cn(rng, (B, L, L, M, K_d)) * np.sqrt(profile.beta_d[:, :, None, :])
+    Gd[..., :K_f] = Gu[..., :K_f]          # one channel per FD user and BS
     jj = np.arange(L)
-    Gd[:, jj, jj, :, :K_f] = Gu[:, jj, jj, :, :K_f]
     F = draw_cn(rng, (B, L, K_d, L, K_u)) * np.sqrt(profile.beta_I)
     out = {"Gu": Gu, "Gd": Gd, "F": F}
     if not need_est:
-        return out
+        return {**out, "W": Gu[:, jj, jj], "V": Gd[:, jj, jj]}
     st = estimation_stats(profile, cfg)
     own_u = profile.beta_u[jj, jj]                       # (L, K_u)
     own_d = profile.beta_d[jj, jj]
@@ -412,8 +413,8 @@ def vector_draw_trials(profile, cfg, rng, B, need_est, tdd_pilots):
     if not tdd_pilots:
         # Full-duplex training: one shared pilot per FD user.
         Ghd[..., :K_f] = Ghu[..., :K_f]
-    out["Ghu"] = Ghu
-    out["Ghd"] = Ghd
+    out["W"] = Ghu
+    out["V"] = Ghd
     out["Eps"] = Gu[:, jj, jj] - Ghu
     return out
 

@@ -18,10 +18,10 @@ from fdmimo import (HomogeneousConfig, PowerScalingSchedule, ScenarioParams,
                     fd_rates_mc, homogeneous_rates, prop1_rates, prop2_rates,
                     run_drop, tdd_rates_mc)
 from fdmimo.experiments import experiment_power_scaling, experiment_tightness
-from fdmimo.rates import dl_rates_fd_imperfect, overheads
+from fdmimo.rates import _TrialSampler, dl_rates_fd_imperfect, overheads
 
 from conftest import random_config, random_profile, uniform_mixed_profile
-from reference import mmse_estimate, wishart_inverse_moments
+from reference import kernel_rates, mmse_estimate, wishart_inverse_moments
 
 PAPER_H = HomogeneousConfig(L=7, K=5, beta=0.3, M=64, P_u=10.0, P_d=100.0,
                             P_tr=10.0, kappa=1e-5, T=196)
@@ -35,11 +35,19 @@ def report(num, name, ok, detail=""):
     return ok
 
 
+def simulated_fd_imperfect_dl(prof, cfg, trials, seed):
+    """The FD estimated-CSI downlink, which the driver reports by its bound,
+    simulated through the kernels: per-user rates and stderr."""
+    sampler = _TrialSampler(prof, cfg, True, False)
+    return kernel_rates(sampler.draw, prof, cfg, "fd", "imperfect", trials, seed)[2:]
+
+
 def test_criterion_1_jensen_lower_bound_property():
-    """Closed-form rates never exceed Monte Carlo + 3 standard errors."""
+    """Closed-form rates never exceed Monte Carlo + 3 standard errors, the
+    simulated FD estimated-CSI downlink included."""
     rng = np.random.default_rng(2024)
     m_set = [3, 8, 32, 100]
-    worst = -np.inf
+    worst, z_min = -np.inf, np.inf
     ok = True
     for i in range(20):
         L = int(rng.integers(2, 4))
@@ -53,22 +61,39 @@ def test_criterion_1_jensen_lower_bound_property():
             b_ul, b_dl = fn(prof, cfg)
             v_ul = (b_ul - (mc.ul_rates + 3 * mc.ul_stderr)).max()
             v_dl = (b_dl - (mc.dl_rates + 3 * mc.dl_stderr + 1e-9)).max()
+            if csi == "imperfect":
+                dl, dl_se = simulated_fd_imperfect_dl(prof, cfg, 2048, [991, i])
+                z_min = min(z_min, ((dl - b_dl) / dl_se).min())
             worst = max(worst, v_ul, v_dl)
             ok &= v_ul <= 0 and v_dl <= 0
+    ok &= z_min >= -3
     assert report(1, "jensen-lower-bound-property", ok,
-                  f"worst excess {worst:.3e}")
+                  f"worst excess {worst:.3e}; simulated FD imperfect/dl "
+                  f"min z {z_min:+.1f}")
 
 
 def test_criterion_2_bound_tightness_m300():
-    """At M = 300 the closed-form bounds sit within 5% of MC, in <= 5 min."""
+    """At M = 300 the closed-form bounds sit within 5% of MC, in <= 5 min.
+    The FD estimated-CSI downlink, which the driver reports by its bound, is
+    simulated with the same trials and seed; no user of it may fall below
+    the bound by more than 3 stderr."""
     t0 = time.time()
     res = experiment_tightness(PAPER_H, [300], 5000, 17)
-    elapsed = time.time() - t0
     gaps = {(r["csi"], r["link"]): r["rel_gap"] for r in res.rows}
-    ok = all(abs(g) <= 0.05 for g in gaps.values()) and elapsed <= 300
+    prof, cfg = expand_homogeneous(PAPER_H), PAPER_H.system_config(M=300)
+    dl, dl_se = simulated_fd_imperfect_dl(prof, cfg, 5000, [17, 0])
+    sim = overheads(cfg, "fd", "imperfect")[1] * dl.sum(axis=1).mean()
+    bound = next(r["bound_se"] for r in res.rows if r["csi"] == "imperfect"
+                 and r["link"] == "dl")
+    gaps["imperfect", "dl"] = (sim - bound) / sim
+    z_min = ((dl - dl_rates_fd_imperfect(prof, cfg)) / dl_se).min()
+    elapsed = time.time() - t0
+    ok = all(abs(g) <= 0.05 for g in gaps.values()) and z_min >= -3 \
+        and elapsed <= 300
     detail = ", ".join(f"{c}/{l} {g:.3f}" for (c, l), g in gaps.items())
     assert report(2, "bound-tightness-M300", ok,
-                  f"{detail}; {elapsed:.0f}s")
+                  f"{detail}; simulated imperfect/dl min z {z_min:+.1f}; "
+                  f"{elapsed:.0f}s")
 
 
 def test_criterion_3_gain_at_m64_perfect():

@@ -79,12 +79,14 @@ def test_profile_shape_checks():
 
 
 def test_profile_reciprocity_enforced():
-    bu = np.ones((2, 2, 2))
-    bd = np.ones((2, 2, 2))
-    bd[0, 0, 0] = 2.0
-    with pytest.raises(ValueError, match="reciprocity"):
-        LargeScaleProfile(beta_u=bu, beta_d=bd, beta_b=np.ones((2, 2)),
-                          beta_I=np.ones((2, 2, 2, 2)), K_f=1)
+    """An FD user has one channel to each BS, its own and every other."""
+    for idx in ((0, 0, 0), (0, 1, 0)):
+        bu = np.ones((2, 2, 2))
+        bd = np.ones((2, 2, 2))
+        bd[idx] = 2.0
+        with pytest.raises(ValueError, match="reciprocity"):
+            LargeScaleProfile(beta_u=bu, beta_d=bd, beta_b=np.ones((2, 2)),
+                              beta_I=np.ones((2, 2, 2, 2)), K_f=1)
 
 
 def test_expand_homogeneous_values():

@@ -7,7 +7,7 @@ from fdmimo import (ExperimentResult, HomogeneousConfig, ScenarioParams, emit,
                     experiment_gain_vs_M, experiment_power_scaling,
                     experiment_rates, experiment_tightness,
                     experiment_tradeoff)
-from fdmimo.cli import main
+from fdmimo.cli import build_parser, main
 
 
 @pytest.fixture
@@ -156,3 +156,10 @@ def test_cli_scenario_config_file(tmp_path):
                "--trials", "16", "--m-list", "8", "--out", str(out)])
     assert rc == 0
     assert "gain_dl" in out.read_text().splitlines()[0]
+
+
+def test_cli_negative_kappa_list():
+    """Every kappa in dB is negative, so a list such as -50,-70 must parse as
+    a value, not as an option."""
+    args = build_parser().parse_args(["gain-vs-kappa", "--kappa-db-list", "-50,-70"])
+    assert args.kappa_db_list == [-50.0, -70.0]

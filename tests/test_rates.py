@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fdmimo import (LargeScaleProfile, SystemConfig, dl_rates_fd_imperfect,
-                    fd_rates_mc, overheads, prop2_rates, tdd_rates_mc)
+                    fd_rates_mc, overheads, prop2_rates, tdd_rates_mc, validate)
 from fdmimo.channel import trial_rng
 from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _mc_rates,
                           per_cell_factors)
@@ -13,7 +17,10 @@ from reference import (dl_sinr_fd_perfect, estimate_all, realize_channels,
 
 
 def as_batch(real):
-    return {"Gu": real.G_u[None], "Gd": real.G_d[None], "F": real.F[None]}
+    """One perfect-CSI realization as a batch of one."""
+    jj = np.arange(real.G_u.shape[0])
+    return {"Gu": real.G_u[None], "Gd": real.G_d[None], "F": real.F[None],
+            "W": real.G_u[None, jj, jj], "V": real.G_d[None, jj, jj]}
 
 
 def test_per_cell_factors_values(small_profile, small_config):
@@ -202,3 +209,27 @@ def test_config_profile_mismatch_rejected(small_profile, small_config, kw):
     cfg = small_config.replace(tau=None, tau_u=None, tau_d=None, **kw)
     with pytest.raises(ValueError, match="disagree"):
         fd_rates_mc(small_profile, cfg, 8, 0)
+
+
+@given(L=st.integers(1, 3), K_f=st.integers(0, 2), K_h_u=st.integers(0, 2),
+       K_h_d=st.integers(0, 2), M=st.integers(1, 50),
+       log_powers=st.lists(st.floats(-9.0, 9.0), min_size=4, max_size=4),
+       kappa=st.floats(0.0, 0.99), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_valid_configs_give_finite_rates(L, K_f, K_h_u, K_h_d, M, log_powers,
+                                         kappa, seed):
+    """Every config that passes validate gives finite rates and stderrs in
+    both systems and CSI modes, with numpy warnings raised as errors."""
+    P_u, P_d, P_tr, sigma2 = (10.0 ** x for x in log_powers)
+    cfg = SystemConfig(L=L, M=M, K_f=K_f, K_h_u=K_h_u, K_h_d=K_h_d, P_u=P_u,
+                       P_d=P_d, P_tr=P_tr, kappa=kappa, sigma2=sigma2, T=196)
+    assume(validate(cfg).ok)
+    prof = random_profile(np.random.default_rng(seed), L=L, K_f=K_f,
+                          K_h_u=K_h_u, K_h_d=K_h_d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for csi in ("perfect", "imperfect"):
+            for rep in (fd_rates_mc(prof, cfg, 16, seed, csi=csi),
+                        tdd_rates_mc(prof, cfg, csi, 16, seed)):
+                for a in (rep.ul_rates, rep.dl_rates, rep.ul_stderr, rep.dl_stderr):
+                    assert np.isfinite(a).all()

@@ -36,7 +36,9 @@ def test_gram_sampler_matches_vector_sampler(small_profile, small_config, system
 
 
 def test_gram_sampler_shapes(small_profile, small_config):
-    """Same keys and shapes as the M-vector model, with r = min(M, D) for M."""
+    """Same keys and shapes as the M-vector model, with r = min(M, D) for M.
+    An FD user's downlink channel is its uplink one at every BS, and with FD
+    training its precoder is its combiner."""
     p = small_profile
     sampler = _TrialSampler(p, small_config, True, False)
     d = sampler.draw(np.random.default_rng(0), 4)
@@ -45,12 +47,34 @@ def test_gram_sampler_shapes(small_profile, small_config):
     assert d["Gu"].shape == (4, p.L, p.L, r, p.K_u)
     assert d["Gd"].shape == (4, p.L, p.L, r, p.K_d)
     assert d["F"].shape == (4, p.L, p.K_d, p.L, p.K_u)
-    assert d["Ghu"].shape == d["Eps"].shape == (4, p.L, r, p.K_u)
-    assert d["Ghd"].shape == (4, p.L, r, p.K_d)
-    jj = np.arange(p.L)
-    np.testing.assert_array_equal(d["Gd"][:, jj, jj, :, :p.K_f],
-                                  d["Gu"][:, jj, jj, :, :p.K_f])
-    np.testing.assert_array_equal(d["Ghd"][..., :p.K_f], d["Ghu"][..., :p.K_f])
+    assert d["W"].shape == d["Eps"].shape == (4, p.L, r, p.K_u)
+    assert d["V"].shape == (4, p.L, r, p.K_d)
+    np.testing.assert_array_equal(d["Gd"][..., :p.K_f], d["Gu"][..., :p.K_f])
+    np.testing.assert_array_equal(d["V"][..., :p.K_f], d["W"][..., :p.K_f])
+
+
+@pytest.mark.parametrize("system,csi", MODES)
+def test_every_source_feeds_an_output(small_profile, small_config, system, csi):
+    """Each unit source is one channel or pilot noise that some output reads:
+    15 channels per BS (3 cells x 3 uplink and 2 HD downlink users), plus one
+    noise per pilot slot with estimated CSI (5 with FD training, 7 with TDD
+    pilots).  Assembling the identity leaves no source unread at any BS."""
+    sampler = _TrialSampler(small_profile, small_config, csi == "imperfect",
+                            system == "tdd")
+    L, S = small_profile.L, sampler.basis.shape[1]
+    out = sampler._assemble(np.broadcast_to(np.eye(S), (1, L, S, S)))
+    used = np.zeros((L, S), bool)
+    for x in out.values():       # the source index runs along axis -2
+        used |= np.moveaxis(x[0] != 0, -2, 1).reshape(L, S, -1).any(axis=2)
+    assert used.all(), f"unread (BS, source): {np.argwhere(~used).tolist()}"
+    assert S == 15 + {"perfect": 0, "imperfect": 7 if system == "tdd" else 5}[csi]
+
+
+def test_tdd_batch_has_no_ue_ue_matrix(small_profile, small_config):
+    """Only the FD kernels read F, so TDD batches do not draw it."""
+    for csi in ("perfect", "imperfect"):
+        sampler = _TrialSampler(small_profile, small_config, csi == "imperfect", True)
+        assert "F" not in sampler.draw(np.random.default_rng(0), 2)
 
 
 @pytest.mark.parametrize("law,fac,csi", [("perfect_csi_1_over_M", 64.0, "perfect"),
