@@ -13,28 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LINK_CLASSES = ("BS_UE", "BS_BS", "UE_UE", "SELF")
-
-
 @dataclass(frozen=True)
 class PathlossModel:
-    """Log-distance pathloss: loss_dB(d) = A + B * log10(d_m).
-
-    The SELF class ignores distance and applies only ``extra_loss`` (used for
-    self-interference links where the loss is an isolation figure).
-    """
+    """Log-distance pathloss: loss_dB(d) = A + B * log10(d_m)."""
 
     A: float
     B: float
     shadowing_std: float = 0.0
     extra_loss: float = 0.0
-    link_class: str = "BS_UE"
 
     def __post_init__(self):
-        if self.link_class not in LINK_CLASSES:
-            raise ValueError(f"unknown link class {self.link_class!r}")
-        if self.link_class != "SELF" and self.B <= 0:
-            raise ValueError("B must be positive for propagation classes")
+        if self.B <= 0:
+            raise ValueError("B must be positive")
 
 
 # libm's log10 and pow applied element by element.  numpy's vectorised ones
@@ -44,15 +34,13 @@ _log10 = np.frompyfunc(math.log10, 1, 1)
 _pow = np.frompyfunc(pow, 2, 1)
 
 
-def compose_large_scale(pl: PathlossModel, distance=0.0, shadow_draw=0.0,
+def compose_large_scale(pl: PathlossModel, distance, shadow_draw=0.0,
                         antenna_gain: float = 0.0):
     """Combine pathloss, shadowing and antenna gain into a linear gain.
 
     ``distance`` and ``shadow_draw`` may be arrays of one shape; the gain
     then has that shape.
     """
-    if pl.link_class == "SELF":
-        return 10.0 ** (-pl.extra_loss / 10.0)
     distance = np.asarray(distance, dtype=float)
     if np.any(distance <= 0):
         raise ValueError("distance must be positive for propagation links")

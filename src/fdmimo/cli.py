@@ -2,7 +2,7 @@
 
 Subcommands: tightness, power-scaling, tradeoff, gain-vs-m, gain-vs-kappa,
 rates.  Results are written as CSV (default) or JSON; exit code is nonzero
-with a diagnostic on any validation or infeasibility error.
+with a diagnostic on any validation, scenario-file or infeasibility error.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
                                    args.csi, args.trials, args.seed)
         else:  # pragma: no cover
             raise SystemExit(2)
-    except (ValueError, TopologyError) as exc:
+    except (ValueError, TopologyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     emit(res, args.format, sys.stdout if args.out == "-" else args.out)

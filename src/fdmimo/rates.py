@@ -36,9 +36,11 @@ own, and a trial costs O(L^2 K^2) draws whatever M is.
 
 The M x M BS-BS matrices are never formed either: for a combining vector w
 fixed by the realization, such a matrix H gives H^H w with i.i.d.
-CN(0, beta_b |w|^2) entries independent of everything else, so an equivalent
-r-vector is drawn directly against the precoders' coordinates.  Per-user
-rate distributions are exactly those of the M-vector model.
+CN(0, beta_b |w|^2) entries independent of everything else, so the sampler
+draws an equivalent unit r-vector Z in the precoders' coordinates and the
+uplink kernel scales it.  Per-user rate distributions are exactly those of
+the M-vector model.  The sampler makes every draw; the kernels are pure
+functions of a batch, whose keys say which terms exist.
 """
 
 from __future__ import annotations
@@ -143,7 +145,8 @@ _BATCH = 64    # trials per batch; batch t draws from trial_rng(seed, t)
 
 
 class _TrialSampler:
-    """Batches of coherence blocks in each BS's own coordinates.
+    """Batches of coherence blocks in each BS's own coordinates; the only
+    code here that draws random numbers.
 
     ``draw`` returns what the M-vector model would give, with every M-vector
     replaced by its r = min(M, D) coordinates in an orthonormal basis of its
@@ -152,9 +155,10 @@ class _TrialSampler:
     quantity that some output reads: the uplink channels (L * K_u,
     cell-major), the HD downlink channels (L * (K_d - K_f)), then one noise
     per pilot slot (estimation module), none with perfect CSI.  An FD user's
-    downlink channel is its uplink channel at every BS.  The UE-UE matrix F
-    is drawn for FD runs only, without the FD-pair reciprocity
-    F[l, k, j, n] = F[j, n, l, k]: no per-user rate depends on it.
+    downlink channel is its uplink channel at every BS.  FD runs also draw
+    the UE-UE matrix F, without the FD-pair reciprocity
+    F[l, k, j, n] = F[j, n, l, k] (no per-user rate depends on it), and then
+    the unit BS-BS draws Z.
     """
 
     def __init__(self, profile, cfg, need_est, tdd):
@@ -171,6 +175,8 @@ class _TrialSampler:
             self.mmse = (cfg.P_tr * profile.beta_u[jj, jj] / st.lam_u,   # (L, K_u)
                          cfg.P_tr * profile.beta_d[jj, jj] / st.lam_d,   # (L, K_d)
                          math.sqrt(cfg.sigma2 / cfg.P_tr))
+            # Mean own gain of each downlink user, E[v^H g] = M c beta.
+            self.Emu = cfg.M * cfg.P_tr * profile.beta_d[jj, jj] ** 2 / st.lam_d
             S += K_u + K_d - self.shared
         # Assembling the identity gives each span vector's source coefficients.
         coef = self._span(self._assemble(np.broadcast_to(np.eye(S), (1, L, S, S))))[0]
@@ -209,8 +215,10 @@ class _TrialSampler:
         return np.concatenate([d["W"], d["V"][..., self.shared:]], axis=-1)
 
     def draw(self, rng, B):
-        """A batch of B coherence blocks: keys Gu, Gd, W, V, with estimation
-        Eps, and in FD runs F, shaped as in the M-vector model with r for M."""
+        """A batch of B coherence blocks: keys Gu, Gd, W, V, shaped as in the
+        M-vector model with r for M; with estimation Eps (W's error) and Emu
+        (mean own downlink gain, (L, K_d)); in FD runs F and Z, the unit
+        BS-BS r-vectors, (B, L, L, r, K_u)."""
         p, Q, r = self.profile, self.basis, self.r
         L, S, D = Q.shape
         R0 = np.triu(draw_cn(rng, (B, L, r, D)), 1)
@@ -219,86 +227,72 @@ class _TrialSampler:
         T = draw_cn(rng, (B, L, r, S))                   # Xi'
         T += (R0 - T @ Q) @ Q.swapaxes(1, 2)             # R0 Q^T + Xi' (I - Q Q^T)
         out = self._assemble(T)
+        del R0, T        # before the FD draws, which would raise the peak memory
+        if self.mmse is not None:
+            out["Emu"] = self.Emu
         if not self.tdd:
             out["F"] = draw_cn(rng, (B, L, p.K_d, L, p.K_u)) * np.sqrt(p.beta_I)
+            out["Z"] = draw_cn(rng, (B, L, L, r, p.K_u))
         return out
 
 
-def _batch_ul_logrates(d, profile, cfg, coef, system, csi, rng):
+def _batch_ul_logrates(d, profile, cfg, coef):
     """log2(1+SINR) for every uplink user in a batch; shape (B, L, K_u).
 
-    ``coef`` is :func:`per_cell_factors` for this ``csi``.
+    MRC with the combiners W against every uplink user's channel.  Eps adds
+    the estimation error, and Z the full-duplex terms: the other BSs'
+    downlink through the BS-BS channels and the residual self-interference.
+    ``coef`` is :func:`per_cell_factors` for the batch's CSI mode.
     """
-    L, K_u = profile.L, profile.K_u
-    B, r = d["Gu"].shape[0], d["Gu"].shape[3]
-    out = np.empty((B, L, K_u))
-    if system == "fd":
-        Z = draw_cn(rng, (B, L, L, r, K_u))
-    for j in range(L):
-        W = d["W"][:, j]                                              # (B, M, K_u)
-        nrm2 = np.einsum("bmn,bmn->bn", W.conj(), W).real             # (B, K_u)
-        Gall = np.moveaxis(d["Gu"][:, j], 1, 2).reshape(B, r, L * K_u)
-        P = np.einsum("bmn,bmx->bnx", W.conj(), Gall)
-        own = P[:, np.arange(K_u), j * K_u + np.arange(K_u)]
-        cross = (np.abs(P) ** 2).sum(axis=2) - np.abs(own) ** 2
-        denom = cfg.P_u * cross
-        if csi == "imperfect":
-            e = np.einsum("bmn,bmn->bn", W.conj(), d["Eps"][:, j])
-            denom = denom + cfg.P_u * np.abs(e) ** 2
-        if system == "fd":
-            for l in range(L):
-                if l == j:
-                    continue
-                S = np.einsum("bmn,bmk->bnk", Z[:, j, l].conj(), d["V"][:, l].conj())
-                denom = denom + (coef[l] * profile.beta_b[j, l]) * nrm2 \
-                    * (np.abs(S) ** 2).sum(axis=2)
-            noise = cfg.sigma2 + cfg.kappa * cfg.P_d * profile.beta_b[j, j]
-        else:
-            noise = cfg.sigma2
-        sinr = cfg.P_u * nrm2 ** 2 / (denom + nrm2 * noise)
-        out[:, j] = np.log2(1.0 + sinr)
-    return out
+    W = d["W"]                                                  # (B, j, r, n)
+    nrm2 = (np.abs(W) ** 2).sum(axis=2)                         # (B, j, n)
+    P = np.abs(W.conj().swapaxes(-1, -2)[:, :, None] @ d["Gu"]) ** 2   # (B, j, l, n, k)
+    jj = np.arange(profile.L)
+    own = np.diagonal(P[:, jj, jj], axis1=-2, axis2=-1)
+    denom = cfg.P_u * (P.sum(axis=(2, 4)) - own)
+    noise = cfg.sigma2
+    if "Eps" in d:
+        denom = denom + cfg.P_u * np.abs((W.conj() * d["Eps"]).sum(axis=2)) ** 2
+    if "Z" in d:
+        # Z[:, j, l] is H^H w / |w| for the BS-BS channel H from BS l to BS
+        # j, in BS l's coordinates; a BS has no BS-BS term with itself.
+        S = np.abs(d["Z"].swapaxes(-1, -2) @ d["V"][:, None]) ** 2  # (B, j, l, n, i)
+        wt = coef * profile.beta_b                       # (j, l)
+        wt[jj, jj] = 0.0
+        denom = denom + nrm2 * (wt[:, :, None] * S.sum(axis=4)).sum(axis=2)
+        noise = noise + cfg.kappa * cfg.P_d * profile.beta_b[jj, jj, None]
+    sinr = cfg.P_u * nrm2 ** 2 / (denom + nrm2 * noise)
+    return np.log2(1.0 + sinr)
 
 
-def _batch_dl_logrates(d, profile, cfg, coef, system, csi):
+def _batch_dl_logrates(d, profile, cfg, coef):
     """log2(1+SINR) for every downlink user in a batch; shape (B, L, K_d).
 
-    With estimated CSI the user decodes against the mean of its own gain; the
-    SINR denominator then has the mean of :func:`dl_rates_fd_imperfect`, so
-    by Jensen this simulates a rate above that bound, which the driver
-    reports for fd/imperfect.  ``coef`` is :func:`per_cell_factors` for this
-    ``csi``.
+    Conjugate beamforming with the precoders V; F adds the full-duplex UE-UE
+    interference.  With Emu (estimated CSI) the user decodes against the
+    mean of its own gain; the SINR denominator then has the mean of
+    :func:`dl_rates_fd_imperfect`, so by Jensen this simulates a rate above
+    that bound, which the driver reports for fd/imperfect.  ``coef`` is
+    :func:`per_cell_factors` for the batch's CSI mode.
     """
-    L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
-    B = d["Gd"].shape[0]
-    imperfect = csi == "imperfect"
-    jj = np.arange(L)
-    if imperfect:
-        st = estimation_stats(profile, cfg)
-        Emu = cfg.M * cfg.P_tr * profile.beta_d[jj, jj] ** 2 / st.lam_d   # (L, K_d)
-    out = np.empty((B, L, K_d))
-    for l in range(L):
-        C = np.einsum("bjmk,bjmi->bjki", d["Gd"][:, :, l], d["V"].conj())  # (B,L,K_d,K_d)
-        total = np.einsum("j,bjki->bk", coef, np.abs(C) ** 2)
-        own = C[:, l, np.arange(K_d), np.arange(K_d)]                     # (B, K_d)
-        cross = total - coef[l] * np.abs(own) ** 2
-        if system == "fd":
-            ue = cfg.P_u * (np.abs(d["F"][:, l]) ** 2).sum(axis=(2, 3))   # (B, K_d)
-            if K_f:
-                kk = np.arange(K_f)
-                ue[:, :K_f] -= cfg.P_u * np.abs(d["F"][:, l, kk, l, kk]) ** 2
-                ue[:, :K_f] += cfg.kappa * cfg.P_u * profile.beta_I[l, kk, l, kk]
-        else:
-            ue = 0.0
-        if imperfect:
-            num = coef[l] * Emu[l] ** 2
-            wobble = coef[l] * np.abs(own - Emu[l]) ** 2
-            sinr = num / (wobble + cross + ue + cfg.sigma2_dl)
-        else:
-            num = coef[l] * np.abs(own) ** 2
-            sinr = num / (cross + ue + cfg.sigma2_dl)
-        out[:, l] = np.log2(1.0 + sinr)
-    return out
+    A = d["V"].conj().swapaxes(-1, -2)[:, :, None] @ d["Gd"]   # (B, j, l, i, k)
+    jj, K_f = np.arange(profile.L), profile.K_f
+    own = np.diagonal(A[:, jj, jj], axis1=-2, axis2=-1)        # (B, l, k)
+    c = coef[:, None]
+    total = (coef[:, None, None] * (np.abs(A) ** 2).sum(axis=3)).sum(axis=1)
+    denom = total - c * np.abs(own) ** 2 + cfg.sigma2_dl
+    if "F" in d:
+        F = d["F"]                                               # (B, l, k, j, n)
+        ue = cfg.P_u * (np.abs(F) ** 2).sum(axis=(3, 4))
+        ll, kk = np.ix_(jj, np.arange(K_f))
+        ue[..., :K_f] += cfg.P_u * (cfg.kappa * profile.beta_I[ll, kk, ll, kk]
+                                    - np.abs(F[:, ll, kk, ll, kk]) ** 2)
+        denom = denom + ue
+    if "Emu" in d:
+        sinr = c * d["Emu"] ** 2 / (denom + c * np.abs(own - d["Emu"]) ** 2)
+    else:
+        sinr = c * np.abs(own) ** 2 / denom
+    return np.log2(1.0 + sinr)
 
 
 def _check_inputs(profile, cfg, closed_forms=False):
@@ -312,30 +306,30 @@ def _check_inputs(profile, cfg, closed_forms=False):
                              f"{getattr(cfg, name)} != {getattr(profile, name)}")
 
 
+def _simulate(draw, profile, cfg, coef, trials, seed, dl=True):
+    """Mean log2(1+SINR) over ``trials`` blocks from ``draw(rng, B)`` and its
+    stderr, (L, K_u [+ K_d]): each cell's uplink users, then with ``dl`` its
+    downlink users."""
+    s = q = 0.0
+    for t, done in enumerate(range(0, trials, _BATCH)):
+        d = draw(trial_rng(seed, t), min(_BATCH, trials - done))
+        x = _batch_ul_logrates(d, profile, cfg, coef)
+        if dl:
+            x = np.concatenate([x, _batch_dl_logrates(d, profile, cfg, coef)], axis=-1)
+        s, q = s + x.sum(axis=0), q + (x ** 2).sum(axis=0)
+    mean = s / trials
+    return mean, np.sqrt(np.maximum(q / trials - mean ** 2, 0.0) / trials)
+
+
 def _mc_rates(profile, cfg, system, csi, trials, seed):
     _check_mode(system, csi)
     _check_inputs(profile, cfg)
-    need_est = csi == "imperfect"
-    do_dl = not (system == "fd" and csi == "imperfect")
-    L, K_u, K_d = profile.L, profile.K_u, profile.K_d
-    coef = per_cell_factors(profile, cfg, csi)
-    sampler = _TrialSampler(profile, cfg, need_est, tdd=(system == "tdd"))
-    sum_u = np.zeros((L, K_u)); sq_u = np.zeros((L, K_u))
-    sum_d = np.zeros((L, K_d)); sq_d = np.zeros((L, K_d))
-    for t, done in enumerate(range(0, trials, _BATCH)):
-        rng = trial_rng(seed, t)
-        d = sampler.draw(rng, min(_BATCH, trials - done))
-        lu = _batch_ul_logrates(d, profile, cfg, coef, system, csi, rng)
-        sum_u += lu.sum(axis=0); sq_u += (lu ** 2).sum(axis=0)
-        if do_dl:
-            ld = _batch_dl_logrates(d, profile, cfg, coef, system, csi)
-            sum_d += ld.sum(axis=0); sq_d += (ld ** 2).sum(axis=0)
-    ul = sum_u / trials
-    ul_se = np.sqrt(np.maximum(sq_u / trials - ul ** 2, 0.0) / trials)
-    if do_dl:
-        dl = sum_d / trials
-        dl_se = np.sqrt(np.maximum(sq_d / trials - dl ** 2, 0.0) / trials)
-    else:
+    analytic_dl = system == "fd" and csi == "imperfect"
+    sampler = _TrialSampler(profile, cfg, csi == "imperfect", tdd=(system == "tdd"))
+    mean, se = _simulate(sampler.draw, profile, cfg, per_cell_factors(profile, cfg, csi),
+                         trials, seed, dl=not analytic_dl)
+    (ul, dl), (ul_se, dl_se) = (np.split(x, [profile.K_u], axis=1) for x in (mean, se))
+    if analytic_dl:
         dl = dl_rates_fd_imperfect(profile, cfg)
         dl_se = np.zeros_like(dl)
     o_ul, o_dl = overheads(cfg, system, csi)

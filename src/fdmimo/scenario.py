@@ -29,10 +29,9 @@ from .rates import RateReport, fd_rates_mc, tdd_rates_mc
 # UE -> UE:              145.4 + 37.5 log10(d_km)
 # pico BS -> pico BS:    169.36 + 40.0 log10(d_km)
 DEFAULT_PATHLOSS = {
-    "bs_ue": PathlossModel(A=30.6, B=36.7, shadowing_std=10.0, link_class="BS_UE"),
-    "ue_ue": PathlossModel(A=32.9, B=37.5, shadowing_std=6.0, link_class="UE_UE"),
-    "bs_bs": PathlossModel(A=49.36, B=40.0, shadowing_std=12.0, link_class="BS_BS"),
-    "self": PathlossModel(A=0.0, B=0.0, extra_loss=40.0, link_class="SELF"),
+    "bs_ue": PathlossModel(A=30.6, B=36.7, shadowing_std=10.0),
+    "ue_ue": PathlossModel(A=32.9, B=37.5, shadowing_std=6.0),
+    "bs_bs": PathlossModel(A=49.36, B=40.0, shadowing_std=12.0),
 }
 
 
@@ -54,7 +53,7 @@ class ScenarioParams:
     min_bs_bs: float = 40.0
     min_bs_ue: float = 10.0
     min_ue_ue: float = 3.0
-    si_loss_db: float = 40.0
+    si_loss_db: float = 40.0          # BS self-interference isolation
     bandwidth_hz: float = 2.0e7
     T: int = 196
     pathloss: dict = field(default_factory=lambda: dict(DEFAULT_PATHLOSS))
@@ -81,10 +80,28 @@ class ScenarioParams:
         return d
 
 
+def _object(raw, allowed, what: str) -> dict:
+    """A copy of the JSON object ``raw``; a ValueError names any key outside
+    ``allowed``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    return dict(raw)
+
+
 def scenario_params_from_dict(raw: dict) -> ScenarioParams:
-    raw = dict(raw)
-    if "pathloss" in raw:
-        raw["pathloss"] = {k: PathlossModel(**v) for k, v in raw["pathloss"].items()}
+    """Scenario parameters from a JSON object.  Absent fields and absent
+    pathloss classes keep their defaults; unknown ones raise ValueError."""
+    raw = _object(raw, {f.name for f in dataclasses.fields(ScenarioParams)}, "scenario")
+    pathloss = dict(DEFAULT_PATHLOSS)
+    for k, v in _object(raw.get("pathloss", {}), DEFAULT_PATHLOSS, "pathloss").items():
+        try:
+            pathloss[k] = PathlossModel(**v)
+        except TypeError as exc:                 # a field unknown or missing
+            raise ValueError(f"pathloss {k!r}: {exc}") from None
+    raw["pathloss"] = pathloss
     for key in ("kappa_db_list", "M_list"):
         if key in raw:
             raw[key] = tuple(raw[key])
@@ -130,8 +147,7 @@ def profile_from_topology(params: ScenarioParams, topo: Topology, rng) -> LargeS
     # BS-BS: one antenna-gain contribution per BS endpoint.
     bb = _link_gains(params.pathloss["bs_bs"], topo.bs_positions,
                      topo.bs_positions, rng, 2 * g_bs)
-    si = compose_large_scale(params.pathloss["self"])
-    np.fill_diagonal(bb, si)
+    np.fill_diagonal(bb, 10.0 ** (-params.si_loss_db / 10.0))
     bI = _link_gains(params.pathloss["ue_ue"], dl_flat, ul_flat, rng, 0.0)
     bI = bI.reshape(L, n_dl, L, n_ul)
     return LargeScaleProfile(beta_u=bu, beta_d=bd, beta_b=bb, beta_I=bI, K_f=0)

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fdmimo.channel import PathlossModel, draw_cn, trial_rng
+from fdmimo.channel import PathlossModel, draw_cn
 from fdmimo.config import LargeScaleProfile, PowerScalingSchedule, SystemConfig
 from fdmimo.estimation import EstimationStats, estimation_stats
-from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _check_inputs,
-                          per_cell_factors)
+from fdmimo.rates import _check_inputs, _simulate, per_cell_factors
 
 
 # ---------------------------------------------------------------------------
@@ -388,38 +387,38 @@ def asymptotic_rates_loop(profile: LargeScaleProfile, cfg: SystemConfig,
 # Batched M-vector sampler
 # ---------------------------------------------------------------------------
 
-def vector_draw_trials(profile, cfg, rng, B, need_est, tdd_pilots):
+def vector_draw_trials(profile, cfg, rng, B, need_est, tdd):
     """Draw a batch of B coherence blocks (and estimates when requested),
-    with the combiners W and precoders V of the CSI mode."""
+    with the keys of the library sampler's batches and M for r."""
     L, K_u, K_d, K_f, M = profile.L, profile.K_u, profile.K_d, profile.K_f, cfg.M
     Gu = draw_cn(rng, (B, L, L, M, K_u)) * np.sqrt(profile.beta_u[:, :, None, :])
     Gd = draw_cn(rng, (B, L, L, M, K_d)) * np.sqrt(profile.beta_d[:, :, None, :])
     Gd[..., :K_f] = Gu[..., :K_f]          # one channel per FD user and BS
     jj = np.arange(L)
     F = draw_cn(rng, (B, L, K_d, L, K_u)) * np.sqrt(profile.beta_I)
-    out = {"Gu": Gu, "Gd": Gd, "F": F}
-    if not need_est:
-        return {**out, "W": Gu[:, jj, jj], "V": Gd[:, jj, jj]}
-    st = estimation_stats(profile, cfg)
-    own_u = profile.beta_u[jj, jj]                       # (L, K_u)
-    own_d = profile.beta_d[jj, jj]
-    cu = (cfg.P_tr * own_u / st.lam_u)[None, :, None, :]  # (1, L, 1, K_u)
-    cd = (cfg.P_tr * own_d / st.lam_d)[None, :, None, :]
-    scale = math.sqrt(cfg.sigma2 / cfg.P_tr)
-    Yu = Gu.sum(axis=2) + scale * draw_cn(rng, (B, L, M, K_u))
-    Ghu = cu * Yu
-    Yd = Gd.sum(axis=2) + scale * draw_cn(rng, (B, L, M, K_d))
-    Ghd = cd * Yd
-    if not tdd_pilots:
-        # Full-duplex training: one shared pilot per FD user.
-        Ghd[..., :K_f] = Ghu[..., :K_f]
-    out["W"] = Ghu
-    out["V"] = Ghd
-    out["Eps"] = Gu[:, jj, jj] - Ghu
+    out = {"Gu": Gu, "Gd": Gd, "W": Gu[:, jj, jj], "V": Gd[:, jj, jj]}
+    if need_est:
+        st = estimation_stats(profile, cfg)
+        own_u = profile.beta_u[jj, jj]                       # (L, K_u)
+        own_d = profile.beta_d[jj, jj]
+        cu = (cfg.P_tr * own_u / st.lam_u)[None, :, None, :]  # (1, L, 1, K_u)
+        cd = (cfg.P_tr * own_d / st.lam_d)[None, :, None, :]
+        scale = math.sqrt(cfg.sigma2 / cfg.P_tr)
+        Yu = Gu.sum(axis=2) + scale * draw_cn(rng, (B, L, M, K_u))
+        Ghu = cu * Yu
+        Yd = Gd.sum(axis=2) + scale * draw_cn(rng, (B, L, M, K_d))
+        Ghd = cd * Yd
+        if not tdd:
+            # Full-duplex training: one shared pilot per FD user.
+            Ghd[..., :K_f] = Ghu[..., :K_f]
+        out.update(W=Ghu, V=Ghd, Eps=Gu[:, jj, jj] - Ghu,
+                   Emu=M * cfg.P_tr * own_d ** 2 / st.lam_d)
+    if not tdd:
+        out.update(F=F, Z=draw_cn(rng, (B, L, L, M, K_u)))
     return out
 
 
-def kernel_rates(draw, profile, cfg, system, csi, trials, seed, batch=64):
+def kernel_rates(draw, profile, cfg, csi, trials, seed):
     """Per-user mean log2(1 + SINR) and stderr of both links.
 
     ``draw(rng, B)`` returns a batch dict.  Unlike the library's driver, the
@@ -428,25 +427,9 @@ def kernel_rates(draw, profile, cfg, system, csi, trials, seed, batch=64):
     Returns (ul, ul_stderr, dl, dl_stderr).
     """
     coef = per_cell_factors(profile, cfg, csi)
-    acc = {"ul": [0.0, 0.0], "dl": [0.0, 0.0]}
-    done = t = 0
-    while done < trials:
-        B = min(batch, trials - done)
-        rng = trial_rng(seed, t)
-        t += 1
-        d = draw(rng, B)
-        lu = _batch_ul_logrates(d, profile, cfg, coef, system, csi, rng)
-        ld = _batch_dl_logrates(d, profile, cfg, coef, system, csi)
-        for key, x in (("ul", lu), ("dl", ld)):
-            acc[key][0] = acc[key][0] + x.sum(axis=0)
-            acc[key][1] = acc[key][1] + (x ** 2).sum(axis=0)
-        done += B
-    out = []
-    for key in ("ul", "dl"):
-        mean = acc[key][0] / trials
-        var = np.maximum(acc[key][1] / trials - mean ** 2, 0.0)
-        out += [mean, np.sqrt(var / trials)]
-    return tuple(out)
+    mean, se = _simulate(draw, profile, cfg, coef, trials, seed)
+    K_u = profile.K_u
+    return mean[:, :K_u], se[:, :K_u], mean[:, K_u:], se[:, K_u:]
 
 
 # ---------------------------------------------------------------------------

@@ -39,16 +39,16 @@ def simulated_fd_imperfect_dl(prof, cfg, trials, seed):
     """The FD estimated-CSI downlink, which the driver reports by its bound,
     simulated through the kernels: per-user rates and stderr."""
     sampler = _TrialSampler(prof, cfg, True, False)
-    return kernel_rates(sampler.draw, prof, cfg, "fd", "imperfect", trials, seed)[2:]
+    return kernel_rates(sampler.draw, prof, cfg, "imperfect", trials, seed)[2:]
 
 
 def test_criterion_1_jensen_lower_bound_property():
-    """Closed-form rates never exceed Monte Carlo + 3 standard errors, the
-    simulated FD estimated-CSI downlink included."""
+    """Closed-form rates never exceed Monte Carlo + 3 standard errors.  The
+    driver reports the FD estimated-CSI downlink by its bound, so that link
+    is simulated through the kernels and checked by its z-scores."""
     rng = np.random.default_rng(2024)
     m_set = [3, 8, 32, 100]
     worst, z_min = -np.inf, np.inf
-    ok = True
     for i in range(20):
         L = int(rng.integers(2, 4))
         K_f = int(rng.integers(0, 3))
@@ -59,14 +59,13 @@ def test_criterion_1_jensen_lower_bound_property():
         for csi, fn in (("perfect", prop1_rates), ("imperfect", prop2_rates)):
             mc = fd_rates_mc(prof, cfg, 400, [991, i], csi=csi)
             b_ul, b_dl = fn(prof, cfg)
-            v_ul = (b_ul - (mc.ul_rates + 3 * mc.ul_stderr)).max()
-            v_dl = (b_dl - (mc.dl_rates + 3 * mc.dl_stderr + 1e-9)).max()
-            if csi == "imperfect":
+            worst = max(worst, (b_ul - (mc.ul_rates + 3 * mc.ul_stderr)).max())
+            if csi == "perfect":
+                worst = max(worst, (b_dl - (mc.dl_rates + 3 * mc.dl_stderr)).max())
+            else:
                 dl, dl_se = simulated_fd_imperfect_dl(prof, cfg, 2048, [991, i])
                 z_min = min(z_min, ((dl - b_dl) / dl_se).min())
-            worst = max(worst, v_ul, v_dl)
-            ok &= v_ul <= 0 and v_dl <= 0
-    ok &= z_min >= -3
+    ok = worst <= 0 and z_min >= -3
     assert report(1, "jensen-lower-bound-property", ok,
                   f"worst excess {worst:.3e}; simulated FD imperfect/dl "
                   f"min z {z_min:+.1f}")

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import pathlib
 import re
 import types
@@ -44,3 +46,15 @@ def test_benchmark_names_exist():
                                    P_tr=1.0, kappa=0.0, T=10).system_config()
     assert fdmimo.validate(cfg).ok
     assert not fdmimo.validate(cfg, closed_forms=True).ok
+
+
+def test_benchmark_trace_hooks_resolve():
+    """Every (module, function) the benchmark's tracer wraps exists, so no
+    per-layer metric turns 'absent' unnoticed when a function moves."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(mod, fn) for _, mod, fn, *_ in tracing.HOOKS
+               if not callable(getattr(importlib.import_module(mod), fn, None))]
+    assert len(tracing.HOOKS) >= 19 and missing == []

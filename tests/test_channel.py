@@ -31,16 +31,9 @@ def test_pathloss_gain_shadow_extra():
     assert g == pytest.approx(10 ** (-6.8))
 
 
-def test_pathloss_self_class_ignores_distance():
-    pl = PathlossModel(A=0.0, B=0.0, extra_loss=40.0, link_class="SELF")
-    assert compose_large_scale(pl) == pytest.approx(1e-4)
-
-
 def test_pathloss_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        PathlossModel(A=1.0, B=1.0, link_class="WAT")
-    with pytest.raises(ValueError):
-        PathlossModel(A=1.0, B=0.0, link_class="BS_UE")
+        PathlossModel(A=1.0, B=0.0)
     with pytest.raises(ValueError):
         compose_large_scale(PathlossModel(A=1.0, B=1.0), 0.0)
 

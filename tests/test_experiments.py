@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -163,3 +164,33 @@ def test_cli_negative_kappa_list():
     a value, not as an option."""
     args = build_parser().parse_args(["gain-vs-kappa", "--kappa-db-list", "-50,-70"])
     assert args.kappa_db_list == [-50.0, -70.0]
+
+
+@pytest.mark.parametrize("content,match", [
+    (None, "No such file"),
+    ('{"n_bs": 3, "n_ul": 2}', "unknown scenario keys: n_ul"),
+    ('{"pathloss": {"bs_ue": {"A": 30.6}}}', "pathloss 'bs_ue'"),
+    ('{"n_bs": 3,', "error: Expecting"),
+])
+def test_cli_scenario_file_errors(tmp_path, capsys, content, match):
+    """A missing, malformed or misspelt scenario file exits 1 with one
+    'error:' line, not a traceback."""
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_text(content)
+    rc = main(["gain-vs-m", "--config", str(path), "--drops", "1", "--trials",
+               "8", "--m-list", "8", "--out", str(tmp_path / "g.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and re.search(match, err)
+
+
+def test_cli_scenario_partial_pathloss(tmp_path):
+    """A scenario file that overrides one pathloss class keeps the others."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n_bs": 3, "n_ul_hd": 2, "n_dl_hd": 2,
+                                "pathloss": {"bs_ue": {"A": 30.6, "B": 36.7}}}))
+    out = tmp_path / "g.csv"
+    rc = main(["gain-vs-m", "--config", str(path), "--drops", "1",
+               "--trials", "16", "--m-list", "8", "--out", str(out)])
+    assert rc == 0
+    assert "gain_dl" in out.read_text().splitlines()[0]

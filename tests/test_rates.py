@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fdmimo import (LargeScaleProfile, SystemConfig, dl_rates_fd_imperfect,
                     fd_rates_mc, overheads, prop2_rates, tdd_rates_mc, validate)
-from fdmimo.channel import trial_rng
+from fdmimo.channel import draw_cn, trial_rng
 from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _mc_rates,
                           per_cell_factors)
 
@@ -16,11 +16,29 @@ from reference import (dl_sinr_fd_perfect, estimate_all, realize_channels,
                        ul_sinr_fd_imperfect, ul_sinr_fd_perfect)
 
 
-def as_batch(real):
-    """One perfect-CSI realization as a batch of one."""
-    jj = np.arange(real.G_u.shape[0])
-    return {"Gu": real.G_u[None], "Gd": real.G_d[None], "F": real.F[None],
-            "W": real.G_u[None, jj, jj], "V": real.G_d[None, jj, jj]}
+def as_batch(real, est=None, bs_bs=False):
+    """One realization as a batch of one: perfect CSI, or the estimates
+    ``est`` as combiners and precoders.  With ``bs_bs`` it also holds unit
+    BS-BS draws, and with them the uplink's full-duplex terms."""
+    L, _, M, K_u = real.G_u.shape
+    jj = np.arange(L)
+    d = {"Gu": real.G_u[None], "Gd": real.G_d[None], "F": real.F[None],
+         "W": real.G_u[None, jj, jj], "V": real.G_d[None, jj, jj]}
+    if est is not None:
+        d.update(W=est.g_hat_u[None], V=est.g_hat_d[None],
+                 Eps=real.G_u[None, jj, jj] - est.g_hat_u[None])
+    if bs_bs:
+        d["Z"] = draw_cn(np.random.default_rng(0), (1, L, L, M, K_u))
+    return d
+
+
+def vanishing_bs_bs(profile):
+    """``profile`` with cross-cell BS gains of 1e-30: the uplink SINR then
+    does not depend on the BS-BS draws."""
+    bb = np.full_like(profile.beta_b, 1e-30)
+    np.fill_diagonal(bb, profile.beta_b.diagonal())
+    return LargeScaleProfile(beta_u=profile.beta_u, beta_d=profile.beta_d,
+                             beta_b=bb, beta_I=profile.beta_I, K_f=profile.K_f)
 
 
 def test_per_cell_factors_values(small_profile, small_config):
@@ -57,8 +75,7 @@ def test_single_cell_uplink_reduces_to_snr():
                        P_tr=1.0, kappa=0.0, sigma2=2.0, T=50)
     real = realize_channels(prof, 4, cfg.M)
     coef = per_cell_factors(prof, cfg, "perfect")
-    lu = _batch_ul_logrates(as_batch(real), prof, cfg, coef, "tdd", "perfect",
-                            np.random.default_rng(0))[0]
+    lu = _batch_ul_logrates(as_batch(real), prof, cfg, coef)[0]
     g = real.G_u[0, 0, :, 0]
     snr = 3.0 * np.vdot(g, g).real / 2.0
     assert lu[0, 0] == pytest.approx(np.log2(1 + snr), rel=1e-12)
@@ -67,8 +84,7 @@ def test_single_cell_uplink_reduces_to_snr():
 def test_batch_matches_loop_dl_perfect(small_profile, small_config):
     real = realize_channels(small_profile, 21, small_config.M)
     coef = per_cell_factors(small_profile, small_config, "perfect")
-    ld = _batch_dl_logrates(as_batch(real), small_profile, small_config, coef,
-                            "fd", "perfect")[0]
+    ld = _batch_dl_logrates(as_batch(real), small_profile, small_config, coef)[0]
     K_f = small_profile.K_f
     for l in range(small_profile.L):
         for k in range(small_profile.K_d):
@@ -81,16 +97,10 @@ def test_batch_matches_loop_dl_perfect(small_profile, small_config):
 def test_batch_matches_loop_ul_without_bs_bs(small_profile, small_config):
     """With vanishing cross-cell BS gains the uplink batch path is exactly the
     direct per-user evaluation (the BS-BS term is resampled otherwise)."""
-    bb = np.full_like(small_profile.beta_b, 1e-30)
-    np.fill_diagonal(bb, small_profile.beta_b.diagonal())
-    prof = small_profile.__class__(beta_u=small_profile.beta_u,
-                                   beta_d=small_profile.beta_d, beta_b=bb,
-                                   beta_I=small_profile.beta_I,
-                                   K_f=small_profile.K_f)
+    prof = vanishing_bs_bs(small_profile)
     real = realize_channels(prof, 22, small_config.M)
     coef = per_cell_factors(prof, small_config, "perfect")
-    lu = _batch_ul_logrates(as_batch(real), prof, small_config, coef, "fd",
-                            "perfect", np.random.default_rng(0))[0]
+    lu = _batch_ul_logrates(as_batch(real, bs_bs=True), prof, small_config, coef)[0]
     for j in range(prof.L):
         for n in range(prof.K_u):
             ref = np.log2(1 + ul_sinr_fd_perfect(real, small_config, coef,
@@ -117,11 +127,20 @@ def test_bs_bs_term_statistically_consistent(small_profile, small_config):
 
 
 def test_imperfect_ul_loop_reference(small_profile, small_config):
-    real = realize_channels(small_profile, 23, small_config.M)
-    est = estimate_all(real, small_profile, small_config, 24)
-    coef = per_cell_factors(small_profile, small_config, "imperfect")
-    s = ul_sinr_fd_imperfect(real, est, small_config, coef, small_profile, 1, 2)
-    assert np.isfinite(s) and s > 0
+    """With MMSE estimates as combiners and vanishing cross-cell BS gains the
+    uplink batch path, its estimation-error term included, is exactly the
+    direct per-user evaluation."""
+    prof = vanishing_bs_bs(small_profile)
+    real = realize_channels(prof, 23, small_config.M)
+    est = estimate_all(real, prof, small_config, 24)
+    coef = per_cell_factors(prof, small_config, "imperfect")
+    lu = _batch_ul_logrates(as_batch(real, est, bs_bs=True), prof, small_config,
+                            coef)[0]
+    for j in range(prof.L):
+        for n in range(prof.K_u):
+            ref = np.log2(1 + ul_sinr_fd_imperfect(real, est, small_config, coef,
+                                                   prof, j, n))
+            assert lu[j, n] == pytest.approx(ref, rel=1e-10)
 
 
 def test_mc_determinism(small_profile, small_config):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fdmimo import ScenarioParams, run_drop, scenario_params_from_dict
+from fdmimo import PathlossModel, ScenarioParams, run_drop, scenario_params_from_dict
 from fdmimo import scenario
 from fdmimo.scenario import (DEFAULT_PATHLOSS, drop_topology, load_scenario,
                              profile_from_topology)
@@ -34,8 +34,8 @@ def test_default_pathloss_constants():
     assert DEFAULT_PATHLOSS["bs_ue"].B == pytest.approx(36.7)
     assert DEFAULT_PATHLOSS["ue_ue"].shadowing_std == 6.0
     assert DEFAULT_PATHLOSS["bs_bs"].shadowing_std == 12.0
-    assert DEFAULT_PATHLOSS["self"].link_class == "SELF"
-    assert DEFAULT_PATHLOSS["self"].extra_loss == 40.0
+    assert sorted(DEFAULT_PATHLOSS) == ["bs_bs", "bs_ue", "ue_ue"]
+    assert ScenarioParams().si_loss_db == 40.0
 
 
 def test_profile_from_topology_structure():
@@ -51,6 +51,14 @@ def test_profile_from_topology_structure():
     own = prof.beta_u[jj, jj].mean()
     cross = (prof.beta_u.sum() - prof.beta_u[jj, jj].sum()) / (12 * 11 * 5)
     assert own > 10 * cross
+
+
+def test_si_loss_sets_self_interference_gain():
+    """The BS self-interference gain on beta_b's diagonal is si_loss_db."""
+    p = ScenarioParams(n_bs=3, n_ul_hd=2, n_dl_hd=2, si_loss_db=65.0)
+    topo = drop_topology(p, np.random.default_rng(1))
+    prof = profile_from_topology(p, topo, np.random.default_rng(2))
+    np.testing.assert_array_equal(np.diag(prof.beta_b), 10.0 ** -6.5)
 
 
 def test_profile_matches_link_loop(monkeypatch):
@@ -79,6 +87,27 @@ def test_scenario_from_dict_partial():
     q = scenario_params_from_dict({"n_bs": 4, "M_list": [10, 20]})
     assert q.n_bs == 4 and q.M_list == (10, 20)
     assert q.hex_radius == 300.0                 # untouched default
+
+
+def test_scenario_partial_pathloss_keeps_other_classes():
+    q = scenario_params_from_dict({"pathloss": {"bs_ue": {"A": 35.0, "B": 30.0}}})
+    assert q.pathloss["bs_ue"] == PathlossModel(A=35.0, B=30.0)
+    assert q.pathloss["bs_bs"] == DEFAULT_PATHLOSS["bs_bs"]
+    assert q.pathloss["ue_ue"] == DEFAULT_PATHLOSS["ue_ue"]
+
+
+@pytest.mark.parametrize("raw,match", [
+    ({"n_bs": 3, "hex_radious": 1.0, "zz": 0}, "unknown scenario keys: hex_radious, zz"),
+    ({"pathloss": {"self": {"A": 0.0, "B": 1.0}}}, "unknown pathloss keys: self"),
+    ({"pathloss": {"bs_ue": {"A": 1.0, "B": 1.0, "link_class": "BS_UE"}}},
+     "pathloss 'bs_ue'.*link_class"),
+    ({"pathloss": {"bs_ue": {"A": 1.0}}}, "pathloss 'bs_ue'.*'B'"),
+    ({"pathloss": []}, "pathloss must be a JSON object"),
+    ([1, 2], "scenario must be a JSON object"),
+])
+def test_scenario_from_dict_rejects_bad_keys(raw, match):
+    with pytest.raises(ValueError, match=match):
+        scenario_params_from_dict(raw)
 
 
 def test_run_drop_deterministic_and_sane():
