@@ -152,8 +152,11 @@ def build_topology(rng, n_bs: int, hex_radius: float,
 
 
 def draw_cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. circularly-symmetric CN(0,1) samples."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    """i.i.d. circularly-symmetric CN(0,1) samples: one call draws the real
+    and imaginary parts side by side, viewed in place as complex."""
+    x = rng.standard_normal((*np.atleast_1d(shape), 2))
+    x *= math.sqrt(0.5)
+    return x.view(np.complex128)[..., 0]
 
 
 def trial_rng(seed, trial: int) -> np.random.Generator:

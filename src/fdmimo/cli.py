@@ -134,10 +134,10 @@ def main(argv=None) -> int:
                                    args.csi, args.trials, args.seed)
         else:  # pragma: no cover
             raise SystemExit(2)
+        emit(res, args.format, sys.stdout if args.out == "-" else args.out)
     except (ValueError, TopologyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    emit(res, args.format, sys.stdout if args.out == "-" else args.out)
     return 0
 
 

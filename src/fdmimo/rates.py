@@ -41,6 +41,13 @@ draws an equivalent unit r-vector Z in the precoders' coordinates and the
 uplink kernel scales it.  Per-user rate distributions are exactly those of
 the M-vector model.  The sampler makes every draw; the kernels are pure
 functions of a batch, whose keys say which terms exist.
+
+Each simulated rate is a control-variate estimate.  Besides its log-rate,
+a kernel returns per-trial controls, powers it forms anyway, whose means
+are exact closed forms (:func:`_control_means`); :mod:`fdmimo.crossfit`
+regresses the log-rates on them with two-fold cross-fitting.  The estimate
+stays unbiased and a pure function of the seed, and its stderr is that of
+the regression residuals, far below that of the log-rates themselves.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import draw_cn, trial_rng
+from .crossfit import accumulate, crossfit
 from .config import LargeScaleProfile, SystemConfig, validate
 from .estimation import estimation_stats
 
@@ -218,7 +226,8 @@ class _TrialSampler:
         """A batch of B coherence blocks: keys Gu, Gd, W, V, shaped as in the
         M-vector model with r for M; with estimation Eps (W's error) and Emu
         (mean own downlink gain, (L, K_d)); in FD runs F and Z, the unit
-        BS-BS r-vectors, (B, L, L, r, K_u)."""
+        BS-BS r-vectors, (B, L, L - 1, r, K_u): Z[:, l, m] goes from BS l
+        to the m-th other BS, in BS l's coordinates."""
         p, Q, r = self.profile, self.basis, self.r
         L, S, D = Q.shape
         R0 = np.triu(draw_cn(rng, (B, L, r, D)), 1)
@@ -232,16 +241,19 @@ class _TrialSampler:
             out["Emu"] = self.Emu
         if not self.tdd:
             out["F"] = draw_cn(rng, (B, L, p.K_d, L, p.K_u)) * np.sqrt(p.beta_I)
-            out["Z"] = draw_cn(rng, (B, L, L, r, p.K_u))
+            out["Z"] = draw_cn(rng, (B, L, L - 1, r, p.K_u))
         return out
 
 
 def _batch_ul_logrates(d, profile, cfg, coef):
-    """log2(1+SINR) for every uplink user in a batch; shape (B, L, K_u).
+    """log2(1+SINR) for every uplink user in a batch, (B, L, K_u), and the
+    user's controls, (B, L, K_u, p), whose means :func:`_control_means` gives.
 
     MRC with the combiners W against every uplink user's channel.  Eps adds
     the estimation error, and Z the full-duplex terms: the other BSs'
     downlink through the BS-BS channels and the residual self-interference.
+    The controls are log|w|^2 and the other users' power over |w|^2, then
+    with Eps the error power over |w|^2, and with Z the BS-BS power.
     ``coef`` is :func:`per_cell_factors` for the batch's CSI mode.
     """
     W = d["W"]                                                  # (B, j, r, n)
@@ -249,50 +261,117 @@ def _batch_ul_logrates(d, profile, cfg, coef):
     P = np.abs(W.conj().swapaxes(-1, -2)[:, :, None] @ d["Gu"]) ** 2   # (B, j, l, n, k)
     jj = np.arange(profile.L)
     own = np.diagonal(P[:, jj, jj], axis1=-2, axis2=-1)
-    denom = cfg.P_u * (P.sum(axis=(2, 4)) - own)
+    inter = P.sum(axis=(2, 4)) - own
+    denom = cfg.P_u * inter
     noise = cfg.sigma2
+    ctrl = [np.log(nrm2), inter / nrm2]
     if "Eps" in d:
-        denom = denom + cfg.P_u * np.abs((W.conj() * d["Eps"]).sum(axis=2)) ** 2
+        err = np.abs((W.conj() * d["Eps"]).sum(axis=2)) ** 2
+        denom = denom + cfg.P_u * err
+        ctrl.append(err / nrm2)
     if "Z" in d:
-        # Z[:, j, l] is H^H w / |w| for the BS-BS channel H from BS l to BS
-        # j, in BS l's coordinates; a BS has no BS-BS term with itself.
-        S = np.abs(d["Z"].swapaxes(-1, -2) @ d["V"][:, None]) ** 2  # (B, j, l, n, i)
-        wt = coef * profile.beta_b                       # (j, l)
-        wt[jj, jj] = 0.0
-        denom = denom + nrm2 * (wt[:, :, None] * S.sum(axis=4)).sum(axis=2)
+        # Z[:, l, m] is H^H w / |w| for the BS-BS channel H from BS l to its
+        # m-th other BS j, in BS l's coordinates; a BS has no BS-BS term with
+        # itself.
+        B, L, K_u = nrm2.shape
+        S = (np.abs(d["Z"].swapaxes(-1, -2) @ d["V"][:, :, None]) ** 2).sum(axis=4)
+        l, j = np.nonzero(1 - np.eye(L))                 # (l, m) pairs, l-major
+        to_rx = (j == jj[:, None]) * (coef[l] * profile.beta_b[j, l])   # (j, (l, m))
+        bsbs = to_rx @ S.reshape(B, L * (L - 1), K_u)                   # (B, j, n)
+        denom = denom + nrm2 * bsbs
         noise = noise + cfg.kappa * cfg.P_d * profile.beta_b[jj, jj, None]
+        ctrl.append(bsbs)
     sinr = cfg.P_u * nrm2 ** 2 / (denom + nrm2 * noise)
-    return np.log2(1.0 + sinr)
+    return np.log2(1.0 + sinr), np.stack(ctrl, axis=-1)
 
 
 def _batch_dl_logrates(d, profile, cfg, coef):
-    """log2(1+SINR) for every downlink user in a batch; shape (B, L, K_d).
+    """log2(1+SINR) for every downlink user in a batch, (B, L, K_d), and the
+    user's controls, (B, L, K_d, p), whose means :func:`_control_means` gives.
 
     Conjugate beamforming with the precoders V; F adds the full-duplex UE-UE
     interference.  With Emu (estimated CSI) the user decodes against the
     mean of its own gain; the SINR denominator then has the mean of
     :func:`dl_rates_fd_imperfect`, so by Jensen this simulates a rate above
-    that bound, which the driver reports for fd/imperfect.  ``coef`` is
-    :func:`per_cell_factors` for the batch's CSI mode.
+    that bound, which :func:`fd_rates_mc` reports for fd/imperfect.  The
+    controls are log|own gain|^2 without Emu, then D, the SINR denominator
+    less noise.
+    ``coef`` is :func:`per_cell_factors` for the batch's CSI mode.
     """
     A = d["V"].conj().swapaxes(-1, -2)[:, :, None] @ d["Gd"]   # (B, j, l, i, k)
     jj, K_f = np.arange(profile.L), profile.K_f
     own = np.diagonal(A[:, jj, jj], axis1=-2, axis2=-1)        # (B, l, k)
+    own2 = np.abs(own) ** 2
     c = coef[:, None]
     total = (coef[:, None, None] * (np.abs(A) ** 2).sum(axis=3)).sum(axis=1)
-    denom = total - c * np.abs(own) ** 2 + cfg.sigma2_dl
+    D = total - c * own2
     if "F" in d:
         F = d["F"]                                               # (B, l, k, j, n)
         ue = cfg.P_u * (np.abs(F) ** 2).sum(axis=(3, 4))
         ll, kk = np.ix_(jj, np.arange(K_f))
         ue[..., :K_f] += cfg.P_u * (cfg.kappa * profile.beta_I[ll, kk, ll, kk]
                                     - np.abs(F[:, ll, kk, ll, kk]) ** 2)
-        denom = denom + ue
+        D = D + ue
     if "Emu" in d:
-        sinr = c * d["Emu"] ** 2 / (denom + c * np.abs(own - d["Emu"]) ** 2)
+        D = D + c * np.abs(own - d["Emu"]) ** 2
+        sinr = c * d["Emu"] ** 2 / (D + cfg.sigma2_dl)
+        ctrl = [D]
     else:
-        sinr = c * np.abs(own) ** 2 / denom
-    return np.log2(1.0 + sinr)
+        sinr = c * own2 / (D + cfg.sigma2_dl)
+        ctrl = [np.log(own2), D]
+    return np.log2(1.0 + sinr), np.stack(ctrl, axis=-1)
+
+
+def _digamma(n: int) -> float:
+    """psi(n) = -gamma + sum_{i<n} 1/i for an integer n >= 1; from n = 64 on
+    by its asymptotic series, whose first omitted term is below 1e-16."""
+    if n < 64:
+        return -np.euler_gamma + sum(1.0 / i for i in range(1, n))
+    return (math.log(n) - 1 / (2 * n) - 1 / (12 * n ** 2) + 1 / (120 * n ** 4)
+            - 1 / (252 * n ** 6))
+
+
+def _control_means(profile, cfg, system, csi):
+    """Exact means of the kernels' controls: uplink (L, K_u, p_ul) and
+    downlink (L, K_d, p_dl), in the kernels' order.
+
+    A combiner w is CN(0, v I_M), v its serving gain or, with estimated CSI,
+    its estimate's variance, so E log|w|^2 = ln v + psi(M).  A channel
+    independent of w adds its gain to E[I/|w|^2]; with estimated CSI a
+    channel on w's pilot slot, beta_u[j, l, n] for l != j, adds
+    (M - 1) P_tr beta^2 / lam_u more, since w holds its MMSE part.  The
+    estimation error is independent of w, so E[|w^H eps|^2/|w|^2] is its
+    variance.  Every BS radiates P_d on average, so the BS-BS power has mean
+    P_d sum_{l != j} beta_b[j, l].  Downlink with perfect CSI: the own gain
+    is |g|^2, so E log|own|^2 = 2(ln beta_d[l, l, k] + psi(M)), and
+    E|g|^4 = M(M + 1) beta^2 leaves E[D] = P_d sum_j beta_d[j, l, k]
+    - coef M beta_d[l, l, k]^2 + the UE-UE interference.  With estimated
+    CSI, E[D] is the interference of :func:`dl_rates_fd_imperfect`.
+    """
+    L, M = profile.L, cfg.M
+    jj, off = np.arange(L), 1 - np.eye(L)
+    bu, bd = profile.beta_u, profile.beta_d
+    psi = _digamma(M)
+    inter = bu.sum(axis=(1, 2))[:, None] - bu[jj, jj]
+    if csi == "perfect":
+        ul = [np.log(bu[jj, jj]) + psi, inter]
+    else:
+        st = estimation_stats(profile, cfg)
+        contam = (off[:, :, None] * bu ** 2).sum(axis=1)
+        ul = [np.log(st.est_var_u) + psi,
+              inter + (M - 1) * cfg.P_tr * contam / st.lam_u, st.err_var_u]
+    if system == "fd":
+        bsbs = cfg.P_d * (off * profile.beta_b).sum(axis=1)
+        ul.append(np.broadcast_to(bsbs[:, None], inter.shape))
+    if csi == "perfect":
+        own = bd[jj, jj]
+        coef = per_cell_factors(profile, cfg, csi)[:, None]
+        dl = [2 * (np.log(own) + psi),
+              cfg.P_d * bd.sum(axis=0) - coef * M * own ** 2
+              + ue_interference(profile, cfg, system)]
+    else:
+        dl = [_uatf_terms(profile, cfg, system)[1]]
+    return np.stack(ul, axis=-1), np.stack(dl, axis=-1)
 
 
 def _check_inputs(profile, cfg, closed_forms=False):
@@ -306,28 +385,45 @@ def _check_inputs(profile, cfg, closed_forms=False):
                              f"{getattr(cfg, name)} != {getattr(profile, name)}")
 
 
-def _simulate(draw, profile, cfg, coef, trials, seed, dl=True):
-    """Mean log2(1+SINR) over ``trials`` blocks from ``draw(rng, B)`` and its
-    stderr, (L, K_u [+ K_d]): each cell's uplink users, then with ``dl`` its
-    downlink users."""
-    s = q = 0.0
+def _simulate(draw, profile, cfg, system, csi, trials, seed, dl=True):
+    """Per-user mean log2(1+SINR) over ``trials`` blocks from ``draw(rng, B)``
+    and its stderr, (L, K_u [+ K_d]): each cell's uplink users, then with
+    ``dl`` its downlink users.
+
+    Each mean is a control-variate estimate Ybar - b (Xbar - mu): X are the
+    kernels' per-trial controls and mu their exact means
+    (:func:`_control_means`).  The trials split by parity into two folds, and
+    each fold's b is fitted on the other fold (cross-fitting), so the
+    estimate is unbiased and a pure function of the seed.  Only the folds'
+    moment sums are kept, and the stderr is that of the residuals y - b x.
+    """
+    coef = per_cell_factors(profile, cfg, csi)
+    mu = _control_means(profile, cfg, system, csi)
+    kernels = (_batch_ul_logrates, _batch_dl_logrates)[:1 + dl]
+    p = mu[0].shape[-1]            # the uplink has the most controls
+    folds = None
     for t, done in enumerate(range(0, trials, _BATCH)):
         d = draw(trial_rng(seed, t), min(_BATCH, trials - done))
-        x = _batch_ul_logrates(d, profile, cfg, coef)
-        if dl:
-            x = np.concatenate([x, _batch_dl_logrates(d, profile, cfg, coef)], axis=-1)
-        s, q = s + x.sum(axis=0), q + (x ** 2).sum(axis=0)
-    mean = s / trials
-    return mean, np.sqrt(np.maximum(q / trials - mean ** 2, 0.0) / trials)
+        z = []
+        for kernel, m in zip(kernels, mu):
+            y, x = kernel(d, profile, cfg, coef)
+            # Controls that are zero pad the downlink's to p; they get b = 0.
+            pad = np.zeros(x.shape[:-1] + (p - x.shape[-1],))
+            z.append(np.concatenate([x - m, pad, y[..., None]], axis=-1))
+        # Every batch starts at an even trial, since _BATCH is even.
+        folds = accumulate(folds, np.concatenate(z, axis=-2))
+    return crossfit(folds)
 
 
 def _mc_rates(profile, cfg, system, csi, trials, seed):
     _check_mode(system, csi)
     _check_inputs(profile, cfg)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     analytic_dl = system == "fd" and csi == "imperfect"
     sampler = _TrialSampler(profile, cfg, csi == "imperfect", tdd=(system == "tdd"))
-    mean, se = _simulate(sampler.draw, profile, cfg, per_cell_factors(profile, cfg, csi),
-                         trials, seed, dl=not analytic_dl)
+    mean, se = _simulate(sampler.draw, profile, cfg, system, csi, trials, seed,
+                         dl=not analytic_dl)
     (ul, dl), (ul_se, dl_se) = (np.split(x, [profile.K_u], axis=1) for x in (mean, se))
     if analytic_dl:
         dl = dl_rates_fd_imperfect(profile, cfg)
@@ -382,6 +478,12 @@ def dl_rates_fd_imperfect(profile, cfg, system="fd") -> np.ndarray:
     transmitter noise terms are absent.
     """
     _check_mode(system=system)
+    signal, interference = _uatf_terms(profile, cfg, system)
+    return np.log2(1.0 + signal / (interference + cfg.sigma2_dl))
+
+
+def _uatf_terms(profile, cfg, system):
+    """Signal and interference, (L, K_d), of :func:`dl_rates_fd_imperfect`."""
     jj = np.arange(profile.L)
     bd = profile.beta_d                                         # (j, l, k)
     c = cfg.P_tr * bd[jj, jj] / estimation_stats(profile, cfg).lam_d
@@ -389,6 +491,5 @@ def dl_rates_fd_imperfect(profile, cfg, system="fd") -> np.ndarray:
     mean2 = coef[:, None, None] * (cfg.M * c[:, None, :] * bd) ** 2
     signal = mean2[jj, jj]                                      # (l, k)
     mean2[jj, jj] = 0.0
-    denom = (cfg.P_d * bd.sum(axis=0) + mean2.sum(axis=0)
-             + ue_interference(profile, cfg, system) + cfg.sigma2_dl)
-    return np.log2(1.0 + signal / denom)
+    return signal, (cfg.P_d * bd.sum(axis=0) + mean2.sum(axis=0)
+                    + ue_interference(profile, cfg, system))

@@ -13,9 +13,10 @@ reduced or closed array form; the tests check the two against each other.
   link at a time.
 * ``vector_draw_trials`` is the M-vector batch sampler, and ``kernel_rates``
   a Monte Carlo loop that runs any sampler through the library's SINR
-  kernels.  The library's sampler draws the same quantities in each BS's own
-  r-dimensional coordinates; the two must give the same rates in
-  distribution.
+  kernels; ``kernel_trials`` returns the kernels' per-trial values for
+  plain averages, without control variates.  The library's sampler draws
+  the same quantities in each BS's own r-dimensional coordinates; the two
+  must give the same rates in distribution.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fdmimo.channel import PathlossModel, draw_cn
+from fdmimo.channel import PathlossModel, draw_cn, trial_rng
 from fdmimo.config import LargeScaleProfile, PowerScalingSchedule, SystemConfig
 from fdmimo.estimation import EstimationStats, estimation_stats
-from fdmimo.rates import _check_inputs, _simulate, per_cell_factors
+from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _check_inputs,
+                          _simulate, per_cell_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -414,22 +416,36 @@ def vector_draw_trials(profile, cfg, rng, B, need_est, tdd):
         out.update(W=Ghu, V=Ghd, Eps=Gu[:, jj, jj] - Ghu,
                    Emu=M * cfg.P_tr * own_d ** 2 / st.lam_d)
     if not tdd:
-        out.update(F=F, Z=draw_cn(rng, (B, L, L, M, K_u)))
+        out.update(F=F, Z=draw_cn(rng, (B, L, L - 1, M, K_u)))
     return out
 
 
-def kernel_rates(draw, profile, cfg, csi, trials, seed):
+def kernel_rates(draw, profile, cfg, system, csi, trials, seed):
     """Per-user mean log2(1 + SINR) and stderr of both links.
 
-    ``draw(rng, B)`` returns a batch dict.  Unlike the library's driver, the
-    downlink kernel runs in every mode, the full-duplex imperfect-CSI one
-    included, so a sampler is checked on every vector the kernels read.
-    Returns (ul, ul_stderr, dl, dl_stderr).
+    ``draw(rng, B)`` returns a batch dict of ``system`` and ``csi``.  Unlike
+    :func:`fdmimo.fd_rates_mc`, this runs the downlink kernel in every mode,
+    the full-duplex imperfect-CSI one included, so a sampler is checked on
+    every vector the kernels read.  Returns (ul, ul_stderr, dl, dl_stderr).
     """
-    coef = per_cell_factors(profile, cfg, csi)
-    mean, se = _simulate(draw, profile, cfg, coef, trials, seed)
+    mean, se = _simulate(draw, profile, cfg, system, csi, trials, seed)
     K_u = profile.K_u
     return mean[:, :K_u], se[:, :K_u], mean[:, K_u:], se[:, K_u:]
+
+
+def kernel_trials(draw, profile, cfg, csi, trials, seed):
+    """Every trial's log-rates and controls from both kernels, without
+    control variates: [(y_ul, x_ul), (y_dl, x_dl)], y shaped (trials, L, K)
+    and x (trials, L, K, p), for plain Monte Carlo averages."""
+    coef = per_cell_factors(profile, cfg, csi)
+    out = [([], []), ([], [])]
+    for t, done in enumerate(range(0, trials, 64)):
+        d = draw(trial_rng(seed, t), min(64, trials - done))
+        for (ys, xs), kernel in zip(out, (_batch_ul_logrates, _batch_dl_logrates)):
+            y, x = kernel(d, profile, cfg, coef)
+            ys.append(y)
+            xs.append(x)
+    return [(np.concatenate(ys), np.concatenate(xs)) for ys, xs in out]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def simulated_fd_imperfect_dl(prof, cfg, trials, seed):
     """The FD estimated-CSI downlink, which the driver reports by its bound,
     simulated through the kernels: per-user rates and stderr."""
     sampler = _TrialSampler(prof, cfg, True, False)
-    return kernel_rates(sampler.draw, prof, cfg, "imperfect", trials, seed)[2:]
+    return kernel_rates(sampler.draw, prof, cfg, "fd", "imperfect", trials, seed)[2:]
 
 
 def test_criterion_1_jensen_lower_bound_property():

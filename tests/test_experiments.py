@@ -194,3 +194,14 @@ def test_cli_scenario_partial_pathloss(tmp_path):
                "--trials", "16", "--m-list", "8", "--out", str(out)])
     assert rc == 0
     assert "gain_dl" in out.read_text().splitlines()[0]
+
+
+def test_cli_unwritable_out_is_an_error(tmp_path, capsys):
+    """An --out path whose directory does not exist exits 1 with one
+    'error:' line once the run is done, not a traceback."""
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["rates", "--cells", "2", "--users", "2", "--antennas", "8",
+               "--trials", "8", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and "No such file" in err
+    assert not out.exists()

@@ -28,7 +28,7 @@ def as_batch(real, est=None, bs_bs=False):
         d.update(W=est.g_hat_u[None], V=est.g_hat_d[None],
                  Eps=real.G_u[None, jj, jj] - est.g_hat_u[None])
     if bs_bs:
-        d["Z"] = draw_cn(np.random.default_rng(0), (1, L, L, M, K_u))
+        d["Z"] = draw_cn(np.random.default_rng(0), (1, L, L - 1, M, K_u))
     return d
 
 
@@ -75,7 +75,7 @@ def test_single_cell_uplink_reduces_to_snr():
                        P_tr=1.0, kappa=0.0, sigma2=2.0, T=50)
     real = realize_channels(prof, 4, cfg.M)
     coef = per_cell_factors(prof, cfg, "perfect")
-    lu = _batch_ul_logrates(as_batch(real), prof, cfg, coef)[0]
+    (lu,), _ = _batch_ul_logrates(as_batch(real), prof, cfg, coef)
     g = real.G_u[0, 0, :, 0]
     snr = 3.0 * np.vdot(g, g).real / 2.0
     assert lu[0, 0] == pytest.approx(np.log2(1 + snr), rel=1e-12)
@@ -84,7 +84,7 @@ def test_single_cell_uplink_reduces_to_snr():
 def test_batch_matches_loop_dl_perfect(small_profile, small_config):
     real = realize_channels(small_profile, 21, small_config.M)
     coef = per_cell_factors(small_profile, small_config, "perfect")
-    ld = _batch_dl_logrates(as_batch(real), small_profile, small_config, coef)[0]
+    (ld,), _ = _batch_dl_logrates(as_batch(real), small_profile, small_config, coef)
     K_f = small_profile.K_f
     for l in range(small_profile.L):
         for k in range(small_profile.K_d):
@@ -100,7 +100,7 @@ def test_batch_matches_loop_ul_without_bs_bs(small_profile, small_config):
     prof = vanishing_bs_bs(small_profile)
     real = realize_channels(prof, 22, small_config.M)
     coef = per_cell_factors(prof, small_config, "perfect")
-    lu = _batch_ul_logrates(as_batch(real, bs_bs=True), prof, small_config, coef)[0]
+    (lu,), _ = _batch_ul_logrates(as_batch(real, bs_bs=True), prof, small_config, coef)
     for j in range(prof.L):
         for n in range(prof.K_u):
             ref = np.log2(1 + ul_sinr_fd_perfect(real, small_config, coef,
@@ -134,8 +134,8 @@ def test_imperfect_ul_loop_reference(small_profile, small_config):
     real = realize_channels(prof, 23, small_config.M)
     est = estimate_all(real, prof, small_config, 24)
     coef = per_cell_factors(prof, small_config, "imperfect")
-    lu = _batch_ul_logrates(as_batch(real, est, bs_bs=True), prof, small_config,
-                            coef)[0]
+    (lu,), _ = _batch_ul_logrates(as_batch(real, est, bs_bs=True), prof,
+                                  small_config, coef)
     for j in range(prof.L):
         for n in range(prof.K_u):
             ref = np.log2(1 + ul_sinr_fd_imperfect(real, est, small_config, coef,
@@ -159,6 +159,12 @@ def test_mc_seed_sensitivity(small_profile, small_config):
 def test_mc_rejects_invalid_config(small_profile, small_config):
     with pytest.raises(ValueError, match="invalid config"):
         fd_rates_mc(small_profile, small_config.replace(kappa=2.0), 8, 0)
+
+
+@pytest.mark.parametrize("trials", [0, -64])
+def test_mc_rejects_no_trials(small_profile, small_config, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        tdd_rates_mc(small_profile, small_config, "perfect", trials, 0)
 
 
 def test_fd_imperfect_dl_is_analytic(small_profile, small_config):

@@ -28,8 +28,8 @@ def test_gram_sampler_matches_vector_sampler(small_profile, small_config, system
         return vector_draw_trials(small_profile, cfg, rng, B, need_est, tdd)
 
     trials = 20_000
-    gram = kernel_rates(sampler.draw, small_profile, cfg, csi, trials, 11)
-    ref = kernel_rates(vector, small_profile, cfg, csi, trials, 12)
+    gram = kernel_rates(sampler.draw, small_profile, cfg, system, csi, trials, 11)
+    ref = kernel_rates(vector, small_profile, cfg, system, csi, trials, 12)
     for link, k in (("ul", 0), ("dl", 2)):
         z = (gram[k] - ref[k]) / np.hypot(gram[k + 1], ref[k + 1])
         assert np.abs(z).max() < 4, f"{link}: max |z| {np.abs(z).max():.2f}"
