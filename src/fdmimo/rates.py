@@ -13,23 +13,28 @@ The Monte Carlo engine never draws an M-vector.  Every inner product the SINR
 kernels form pairs a vector at some BS j with one of BS j's span vectors: its
 combiners and the precoders not among them.  There are D = K_u + K_d - K_f of
 them, or K_u + K_d with TDD pilots, whose two slots give an FD user two
-observations.  Inner products do not change when every vector at BS j is
-replaced by its coordinates in an orthonormal basis of the span, a space of
-r = min(M, D) dimensions, so the engine draws those coordinates with their
-exact joint law (:class:`_TrialSampler`):
+observations.  They fall into parts that share no source: with no FD users
+the combiners, built from the uplink channels and pilot noises, are one part
+and the precoders another, and no kernel pairs an uplink vector with a
+downlink one; FD users make the span one part.  Inner products do not change
+when each vector of a part is replaced by its coordinates in an orthonormal
+basis of the part's span, a space of r = min(M, D) dimensions for the part's
+D, so the engine draws those coordinates with their exact joint law, part by
+part (:class:`_TrialSampler`):
 
-* Every vector at BS j is a fixed real combination of S independent unit
-  sources, one per channel and pilot noise seen there: the span is Xi C for
-  an M x S i.i.d. CN(0, 1) matrix Xi and an S x D coefficient matrix C.  With
-  C = Q R_C (QR), Xi Q is again i.i.d., and its QR factor R0 is the complex
-  Bartlett factor: r x D upper-trapezoidal, |R0[i, i]|^2 ~ Gamma(M - i, 1),
-  CN(0, 1) above the diagonal (Odell & Feiveson, 1966).  The span's
-  coordinates are R0 R_C, a Bartlett factor times the Cholesky factor of the
-  span's column covariance C^H C.
+* Every vector of a part at BS j is a fixed real combination of the part's S
+  independent unit sources, one per channel and pilot noise: the span is
+  Xi C for an M x S i.i.d. CN(0, 1) matrix Xi and an S x D coefficient matrix
+  C.  With C = Q R_C (QR), Xi Q is again i.i.d., and its QR factor R0 is the
+  complex Bartlett factor: r x D upper-trapezoidal, |R0[i, i]|^2 ~
+  Gamma(M - i, 1), CN(0, 1) above the diagonal (Odell & Feiveson, 1966).
+  The span's coordinates are R0 R_C, a Bartlett factor times the Cholesky
+  factor of the span's column covariance C^H C.
 * The sources' coordinates are R0 Q^T + Xi' (I - Q Q^T) with a fresh r x S
   i.i.d. Xi': their conditional mean given the span plus a fresh draw minus
   its own conditional mean given its own span (pathwise conditioning,
-  "Matheron's rule").  Every other vector follows from them.
+  "Matheron's rule").  Every other vector follows from them.  A part of
+  which only the span is read draws only R0.
 
 Different BSs see independent channels and noises, so each BS is drawn on its
 own, and a trial costs O(L^2 K^2) draws whatever M is.
@@ -158,25 +163,26 @@ class _TrialSampler:
 
     ``draw`` returns what the M-vector model would give, with every M-vector
     replaced by its r = min(M, D) coordinates in an orthonormal basis of its
-    BS's span (module docstring), plus the combiners W and precoders V the
-    CSI mode calls for.  Every source seen at BS j is one physical random
-    quantity that some output reads: the uplink channels (L * K_u,
-    cell-major), the HD downlink channels (L * (K_d - K_f)), then one noise
-    per pilot slot (estimation module), none with perfect CSI.  An FD user's
-    downlink channel is its uplink channel at every BS.  FD runs also draw
-    the UE-UE matrix F, without the FD-pair reciprocity
-    F[l, k, j, n] = F[j, n, l, k] (no per-user rate depends on it), and then
-    the unit BS-BS draws Z.
+    part of its BS's span, plus the combiners W and precoders V the CSI mode
+    calls for.  Each source seen at BS j is a physical random quantity some
+    output reads: the uplink channels (L * K_u, cell-major) and pilot noises,
+    then the HD downlink channels (L * (K_d - K_f)) and pilot noises (none
+    with perfect CSI).  An FD user's downlink channel is its uplink one at
+    every BS; with no FD users the uplink sources form one part and the
+    downlink ones another.  FD runs draw the UE-UE matrix F if ``dl`` (the
+    downlink kernel runs), without the FD-pair reciprocity
+    F[l, k, j, n] = F[j, n, l, k] (no per-user rate depends on it), then the
+    unit BS-BS draws Z.  Without ``dl`` a downlink part draws only V.
     """
 
-    def __init__(self, profile, cfg, need_est, tdd):
-        self.profile, self.cfg, self.tdd = profile, cfg, tdd
+    def __init__(self, profile, cfg, need_est, tdd, dl=True):
+        self.profile, self.cfg, self.tdd, self.dl = profile, cfg, tdd, dl
         L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
         # FD users whose precoder is their combiner: all, unless TDD pilots
         # estimate their two directions in separate slots.
         self.shared = 0 if need_est and tdd else K_f
         self.mmse = None
-        S = L * (K_u + K_d - K_f)
+        self.S_u, S = L * K_u, L * (K_u + K_d - K_f)
         if need_est:
             st = estimation_stats(profile, cfg)
             jj = np.arange(L)
@@ -185,63 +191,85 @@ class _TrialSampler:
                          math.sqrt(cfg.sigma2 / cfg.P_tr))
             # Mean own gain of each downlink user, E[v^H g] = M c beta.
             self.Emu = cfg.M * cfg.P_tr * profile.beta_d[jj, jj] ** 2 / st.lam_d
+            self.S_u += K_u
             S += K_u + K_d - self.shared
         # Assembling the identity gives each span vector's source coefficients.
-        coef = self._span(self._assemble(np.broadcast_to(np.eye(S), (1, L, S, S))))[0]
-        # Unit columns span the same space and keep QR accurate when gains
-        # differ by orders of magnitude.
-        coef = coef / np.linalg.norm(coef, axis=1, keepdims=True)
-        self.basis = np.linalg.qr(coef)[0]                 # (L, S, D)
-        self.r = min(cfg.M, self.basis.shape[2])
+        eye = np.broadcast_to(np.eye(S), (1, L, S, S))
+        d = self._assemble(eye[..., :self.S_u], eye[..., self.S_u:])
+        # Each BS's combiners and the precoders not among them, (L, S, D).
+        coef = np.concatenate([d["W"], d["V"][..., self.shared:]], axis=-1)[0]
+        # Each part's first source and span vector, then the ends.
+        cuts = [(0, 0)] + [(self.S_u, K_u)] * (K_f == 0) + [coef.shape[1:]]
+        self.parts = []                    # (Q, Q^T C, r): (L, S_p, D_p), (L, D_p, D_p)
+        for (s0, c0), (s1, c1) in zip(cuts, cuts[1:]):
+            C = coef[:, s0:s1, c0:c1]
+            # Unit columns span the same space and keep QR accurate when gains
+            # differ by orders of magnitude.
+            nrm = np.linalg.norm(C, axis=1, keepdims=True)
+            Q, R = np.linalg.qr(C / nrm)
+            self.parts.append((Q, R * nrm, min(cfg.M, Q.shape[2])))
 
-    def _assemble(self, T):
-        """The batch dict from unit-source coordinates T of shape (B, L, r, S)."""
+    def _assemble(self, Tu, Td=None):
+        """The batch dict from the unit sources' coordinates, (B, L, r, S):
+        Tu the uplink ones', Td the downlink ones' (the same r when FD users
+        tie them).  Without Td only Gu, W and Eps; without ``dl`` no Gd."""
         p = self.profile
-        B, L, r = T.shape[:3]
+        B, L = Tu.shape[:2]
         K_u, K_f, K_h = p.K_u, p.K_f, p.K_d - p.K_f
-        a, b = L * K_u, L * (K_u + K_h)
-        Tu = T[..., :a].reshape(B, L, r, L, K_u)
-        Td = np.concatenate([Tu[..., :K_f], T[..., a:b].reshape(B, L, r, L, K_h)],
-                            axis=-1)
-        Gu = np.moveaxis(Tu, 3, 2) * np.sqrt(p.beta_u[:, :, None, :])
-        Gd = np.moveaxis(Td, 3, 2) * np.sqrt(p.beta_d[:, :, None, :])
-        jj = np.arange(L)
-        if self.mmse is None:
-            return {"Gu": Gu, "Gd": Gd, "W": Gu[:, jj, jj], "V": Gd[:, jj, jj]}
-        cu, cd, scale = self.mmse
-        # Pilot observations: slot n < K_u carries uplink user n; each
-        # downlink user without a shared slot has one of the later slots.
-        Y = np.concatenate([Gu.sum(axis=2), Gd.sum(axis=2)[..., self.shared:]],
-                           axis=-1) + scale * T[..., b:]
-        W = cu[:, None, :] * Y[..., :K_u]
-        V = np.concatenate([W[..., :self.shared],
-                            cd[:, None, self.shared:] * Y[..., K_u:]], axis=-1)
-        return {"Gu": Gu, "Gd": Gd, "W": W, "V": V, "Eps": Gu[:, jj, jj] - W}
-
-    def _span(self, d):
-        """Each BS's combiners and the precoders not among them, (B, L, r, D)."""
-        return np.concatenate([d["W"], d["V"][..., self.shared:]], axis=-1)
+        a, b, jj = L * K_u, L * K_h, np.arange(L)
+        Tc = Tu[..., :a].reshape(B, L, Tu.shape[2], L, K_u)
+        Gu = np.moveaxis(Tc, 3, 2) * np.sqrt(p.beta_u[:, :, None, :])
+        out = {"Gu": Gu, "W": Gu[:, jj, jj]}
+        if self.mmse is not None:
+            # Pilot observations: slot n < K_u carries uplink user n; each
+            # downlink user without a shared slot has one of the later slots.
+            cu, cd, scale = self.mmse
+            out["W"] = cu[:, None, :] * (Gu.sum(axis=2) + scale * Tu[..., a:])
+            out["Eps"] = Gu[:, jj, jj] - out["W"]
+        if Td is None:
+            return out
+        Td_c = Td[..., :b].reshape(B, L, Td.shape[2], L, K_h)
+        if K_f:
+            Td_c = np.concatenate([Tc[..., :K_f], Td_c], axis=-1)
+        Gd = np.moveaxis(Td_c, 3, 2) * np.sqrt(p.beta_d[:, :, None, :])
+        out["V"] = Gd[:, jj, jj]
+        if self.dl:
+            out["Gd"] = Gd
+        if self.mmse is not None:
+            s = self.shared
+            V = cd[:, None, s:] * (Gd.sum(axis=2)[..., s:] + scale * Td[..., b:])
+            out["V"] = np.concatenate([out["W"][..., :s], V], axis=-1) if s else V
+        return out
 
     def draw(self, rng, B):
         """A batch of B coherence blocks: keys Gu, Gd, W, V, shaped as in the
-        M-vector model with r for M; with estimation Eps (W's error) and Emu
-        (mean own downlink gain, (L, K_d)); in FD runs F and Z, the unit
-        BS-BS r-vectors, (B, L, L - 1, r, K_u): Z[:, l, m] goes from BS l
-        to the m-th other BS, in BS l's coordinates."""
-        p, Q, r = self.profile, self.basis, self.r
-        L, S, D = Q.shape
-        R0 = np.triu(draw_cn(rng, (B, L, r, D)), 1)
-        idx = np.arange(r)
-        R0[..., idx, idx] = np.sqrt(rng.gamma(self.cfg.M - idx, size=(B, L, r)))
-        T = draw_cn(rng, (B, L, r, S))                   # Xi'
-        T += (R0 - T @ Q) @ Q.swapaxes(1, 2)             # R0 Q^T + Xi' (I - Q Q^T)
-        out = self._assemble(T)
-        del R0, T        # before the FD draws, which would raise the peak memory
+        M-vector model with r for M, each in its part's r; with estimation
+        Eps (W's error) and Emu (mean own downlink gain, (L, K_d)); in FD
+        runs F and Z, the unit BS-BS r-vectors in V's coordinates,
+        (B, L, L - 1, r, K_u): Z[:, l, m] goes from BS l to the m-th other
+        BS.  Without ``dl`` no Gd or F."""
+        p, M = self.profile, self.cfg.M
+        T = []
+        for i, (Q, RC, r) in enumerate(self.parts):
+            L, S, D = Q.shape
+            R0, idx = np.triu(draw_cn(rng, (B, L, r, D)), 1), np.arange(r)
+            R0[..., idx, idx] = np.sqrt(rng.gamma(M - idx, size=(B, L, r)))
+            if i and not self.dl:       # the precoders' own part: only V is read
+                T.append(R0 @ RC)                        # the span, R0 Q^T C
+                continue
+            X = draw_cn(rng, (B, L, r, S))               # Xi'
+            T.append(X + (R0 - X @ Q) @ Q.swapaxes(1, 2))   # R0 Q^T + Xi' (I - Q Q^T)
+        if len(T) == 1:
+            out = self._assemble(*np.split(T[0], [self.S_u], axis=-1))
+        else:
+            out = self._assemble(*T) if self.dl else dict(self._assemble(T[0]), V=T[1])
+        del T, R0, X     # before the FD draws, which would raise the peak memory
         if self.mmse is not None:
             out["Emu"] = self.Emu
         if not self.tdd:
-            out["F"] = draw_cn(rng, (B, L, p.K_d, L, p.K_u)) * np.sqrt(p.beta_I)
-            out["Z"] = draw_cn(rng, (B, L, L - 1, r, p.K_u))
+            if self.dl:
+                out["F"] = draw_cn(rng, (B, L, p.K_d, L, p.K_u)) * np.sqrt(p.beta_I)
+            out["Z"] = draw_cn(rng, (B, L, L - 1, out["V"].shape[2], p.K_u))
         return out
 
 
@@ -385,10 +413,10 @@ def _check_inputs(profile, cfg, closed_forms=False):
                              f"{getattr(cfg, name)} != {getattr(profile, name)}")
 
 
-def _simulate(draw, profile, cfg, system, csi, trials, seed, dl=True):
+def _simulate(draw, profile, cfg, system, csi, trials, seed):
     """Per-user mean log2(1+SINR) over ``trials`` blocks from ``draw(rng, B)``
-    and its stderr, (L, K_u [+ K_d]): each cell's uplink users, then with
-    ``dl`` its downlink users.
+    and its stderr, (L, K_u [+ K_d]): each cell's uplink users, then, if the
+    blocks hold Gd, its downlink users.
 
     Each mean is a control-variate estimate Ybar - b (Xbar - mu): X are the
     kernels' per-trial controls and mu their exact means
@@ -399,11 +427,11 @@ def _simulate(draw, profile, cfg, system, csi, trials, seed, dl=True):
     """
     coef = per_cell_factors(profile, cfg, csi)
     mu = _control_means(profile, cfg, system, csi)
-    kernels = (_batch_ul_logrates, _batch_dl_logrates)[:1 + dl]
     p = mu[0].shape[-1]            # the uplink has the most controls
     folds = None
     for t, done in enumerate(range(0, trials, _BATCH)):
         d = draw(trial_rng(seed, t), min(_BATCH, trials - done))
+        kernels = (_batch_ul_logrates, _batch_dl_logrates)[:1 + ("Gd" in d)]
         z = []
         for kernel, m in zip(kernels, mu):
             y, x = kernel(d, profile, cfg, coef)
@@ -421,9 +449,9 @@ def _mc_rates(profile, cfg, system, csi, trials, seed):
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     analytic_dl = system == "fd" and csi == "imperfect"
-    sampler = _TrialSampler(profile, cfg, csi == "imperfect", tdd=(system == "tdd"))
-    mean, se = _simulate(sampler.draw, profile, cfg, system, csi, trials, seed,
-                         dl=not analytic_dl)
+    sampler = _TrialSampler(profile, cfg, csi == "imperfect", system == "tdd",
+                            dl=not analytic_dl)
+    mean, se = _simulate(sampler.draw, profile, cfg, system, csi, trials, seed)
     (ul, dl), (ul_se, dl_se) = (np.split(x, [profile.K_u], axis=1) for x in (mean, se))
     if analytic_dl:
         dl = dl_rates_fd_imperfect(profile, cfg)
