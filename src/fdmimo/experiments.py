@@ -103,6 +103,8 @@ def experiment_tightness(h: HomogeneousConfig, M_list, trials, seed) -> Experime
 
 def reference_schedule(h: HomogeneousConfig, csi: str, m_ref: int = 64) -> PowerScalingSchedule:
     """Scaling schedule whose powers equal the nominal config at M = m_ref."""
+    if m_ref < 1:
+        raise ValueError(f"m_ref must be at least 1, got {m_ref}")
     if csi == "perfect":
         f = float(m_ref)
         law = "perfect_csi_1_over_M"
@@ -164,6 +166,8 @@ def _scenario_sweep(name, params: ScenarioParams, sweep, drops, seed, trials):
     efficiencies and as per-drop ratios (mean and confidence interval), so
     either averaging convention is inspectable.
     """
+    if drops < 1:
+        raise ValueError(f"drops must be at least 1, got {drops}")
     rows, aggregates = [], []
     for M, kdb in sweep:
         fd_ul = fd_dl = tdd_ul = tdd_dl = 0.0

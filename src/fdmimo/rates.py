@@ -42,10 +42,13 @@ own, and a trial costs O(L^2 K^2) draws whatever M is.
 The M x M BS-BS matrices are never formed either: for a combining vector w
 fixed by the realization, such a matrix H gives H^H w with i.i.d.
 CN(0, beta_b |w|^2) entries independent of everything else, so the sampler
-draws an equivalent unit r-vector Z in the precoders' coordinates and the
-uplink kernel scales it.  Per-user rate distributions are exactly those of
-the M-vector model.  The sampler makes every draw; the kernels are pure
-functions of a batch, whose keys say which terms exist.
+draws an equivalent unit r-vector Z in the precoders' coordinates per BS
+pair and user, and the uplink kernel scales it.  UE-UE channels are read
+only as powers, |f|^2 ~ beta_I Exp(1), so those are drawn (0 for an FD
+user's own pair, which it cancels).  Per-user rate distributions are
+exactly those of the M-vector model.  The sampler makes every draw; the
+kernels are pure functions of a batch, whose keys say which terms exist,
+with one matmul per trial and BS for each set of inner products.
 
 Each simulated rate is a control-variate estimate.  Besides its log-rate,
 a kernel returns per-trial controls, powers it forms anyway, whose means
@@ -169,15 +172,17 @@ class _TrialSampler:
     then the HD downlink channels (L * (K_d - K_f)) and pilot noises (none
     with perfect CSI).  An FD user's downlink channel is its uplink one at
     every BS; with no FD users the uplink sources form one part and the
-    downlink ones another.  FD runs draw the UE-UE matrix F if ``dl`` (the
-    downlink kernel runs), without the FD-pair reciprocity
-    F[l, k, j, n] = F[j, n, l, k] (no per-user rate depends on it), then the
-    unit BS-BS draws Z.  Without ``dl`` a downlink part draws only V.
+    downlink ones another.  FD runs then draw the UE-UE powers F if ``dl``
+    (the downlink kernel runs), without the FD-pair reciprocity
+    F[l, k, j, n] = F[j, n, l, k] (no per-user rate depends on it), and last
+    the unit BS-BS draws Z.  Without ``dl`` a downlink part draws only V.
     """
 
     def __init__(self, profile, cfg, need_est, tdd, dl=True):
         self.profile, self.cfg, self.tdd, self.dl = profile, cfg, tdd, dl
         L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
+        self.ue_gain = profile.beta_I.copy()    # each FD user cancels its own
+        np.einsum("lklk->lk", self.ue_gain[:, :K_f, :, :K_f])[...] = 0.0
         # FD users whose precoder is their combiner: all, unless TDD pilots
         # estimate their two directions in separate slots.
         self.shared = 0 if need_est and tdd else K_f
@@ -214,40 +219,40 @@ class _TrialSampler:
         Tu the uplink ones', Td the downlink ones' (the same r when FD users
         tie them).  Without Td only Gu, W and Eps; without ``dl`` no Gd."""
         p = self.profile
-        B, L = Tu.shape[:2]
+        B, L, r = Tu.shape[:3]
         K_u, K_f, K_h = p.K_u, p.K_f, p.K_d - p.K_f
-        a, b, jj = L * K_u, L * K_h, np.arange(L)
-        Tc = Tu[..., :a].reshape(B, L, Tu.shape[2], L, K_u)
-        Gu = np.moveaxis(Tc, 3, 2) * np.sqrt(p.beta_u[:, :, None, :])
-        out = {"Gu": Gu, "W": Gu[:, jj, jj]}
+        a, b = L * K_u, L * K_h
+        Gu = Tu[..., :a].reshape(B, L, r, L, K_u) * np.sqrt(p.beta_u)[:, None]
+        out = {"Gu": Gu, "W": np.einsum("bjrjk->bjrk", Gu)}     # Gu[:, j, :, j]
         if self.mmse is not None:
             # Pilot observations: slot n < K_u carries uplink user n; each
             # downlink user without a shared slot has one of the later slots.
             cu, cd, scale = self.mmse
-            out["W"] = cu[:, None, :] * (Gu.sum(axis=2) + scale * Tu[..., a:])
-            out["Eps"] = Gu[:, jj, jj] - out["W"]
+            out["W"] = cu[:, None, :] * (Gu.sum(axis=3) + scale * Tu[..., a:])
+            out["Eps"] = np.einsum("bjrjk->bjrk", Gu) - out["W"]
         if Td is None:
             return out
-        Td_c = Td[..., :b].reshape(B, L, Td.shape[2], L, K_h)
-        if K_f:
-            Td_c = np.concatenate([Tc[..., :K_f], Td_c], axis=-1)
-        Gd = np.moveaxis(Td_c, 3, 2) * np.sqrt(p.beta_d[:, :, None, :])
-        out["V"] = Gd[:, jj, jj]
+        Gd = Td[..., :b].reshape(B, L, Td.shape[2], L, K_h)
+        Gd = Gd * np.sqrt(p.beta_d[..., K_f:])[:, None]
+        if K_f:     # an FD user's downlink channel is its uplink one
+            Gd = np.concatenate([Gu[..., :K_f], Gd], axis=-1)
+        out["V"] = np.einsum("bjrjk->bjrk", Gd)
         if self.dl:
             out["Gd"] = Gd
         if self.mmse is not None:
             s = self.shared
-            V = cd[:, None, s:] * (Gd.sum(axis=2)[..., s:] + scale * Td[..., b:])
+            V = cd[:, None, s:] * (Gd.sum(axis=3)[..., s:] + scale * Td[..., b:])
             out["V"] = np.concatenate([out["W"][..., :s], V], axis=-1) if s else V
         return out
 
     def draw(self, rng, B):
-        """A batch of B coherence blocks: keys Gu, Gd, W, V, shaped as in the
-        M-vector model with r for M, each in its part's r; with estimation
-        Eps (W's error) and Emu (mean own downlink gain, (L, K_d)); in FD
-        runs F and Z, the unit BS-BS r-vectors in V's coordinates,
-        (B, L, L - 1, r, K_u): Z[:, l, m] goes from BS l to the m-th other
-        BS.  Without ``dl`` no Gd or F."""
+        """A batch of B coherence blocks, each in its part's r: Gu, Gd
+        (B, j, r, l, k), BS j's view of cell l's user k, and W, V (B, j, r, k);
+        with estimation Eps (W's error) and Emu (mean own downlink gain,
+        (L, K_d)); in FD runs the UE-UE powers F (B, l, k, j, n), user n of
+        cell j at user k of cell l, and the unit BS-BS r-vectors Z
+        (B, l, m, n, r) in V's coordinates, from BS l to its m-th other BS,
+        for user n's combiner there.  Without ``dl`` no Gd or F."""
         p, M = self.profile, self.cfg.M
         T = []
         for i, (Q, RC, r) in enumerate(self.parts):
@@ -268,8 +273,8 @@ class _TrialSampler:
             out["Emu"] = self.Emu
         if not self.tdd:
             if self.dl:
-                out["F"] = draw_cn(rng, (B, L, p.K_d, L, p.K_u)) * np.sqrt(p.beta_I)
-            out["Z"] = draw_cn(rng, (B, L, L - 1, out["V"].shape[2], p.K_u))
+                out["F"] = self.ue_gain * rng.standard_exponential((B, *self.ue_gain.shape))
+            out["Z"] = draw_cn(rng, (B, L, L - 1, p.K_u, out["V"].shape[2]))
         return out
 
 
@@ -277,19 +282,20 @@ def _batch_ul_logrates(d, profile, cfg, coef):
     """log2(1+SINR) for every uplink user in a batch, (B, L, K_u), and the
     user's controls, (B, L, K_u, p), whose means :func:`_control_means` gives.
 
-    MRC with the combiners W against every uplink user's channel.  Eps adds
-    the estimation error, and Z the full-duplex terms: the other BSs'
-    downlink through the BS-BS channels and the residual self-interference.
+    MRC with the combiners W against every uplink user's channel, one
+    matmul per trial and BS.  Eps adds the estimation error, and Z the
+    full-duplex terms: the other BSs' downlink through the BS-BS channels,
+    again one matmul per trial and BS, and the residual self-interference.
     The controls are log|w|^2 and the other users' power over |w|^2, then
     with Eps the error power over |w|^2, and with Z the BS-BS power.
     ``coef`` is :func:`per_cell_factors` for the batch's CSI mode.
     """
     W = d["W"]                                                  # (B, j, r, n)
+    B, L, r, K_u = W.shape
     nrm2 = (np.abs(W) ** 2).sum(axis=2)                         # (B, j, n)
-    P = np.abs(W.conj().swapaxes(-1, -2)[:, :, None] @ d["Gu"]) ** 2   # (B, j, l, n, k)
-    jj = np.arange(profile.L)
-    own = np.diagonal(P[:, jj, jj], axis1=-2, axis2=-1)
-    inter = P.sum(axis=(2, 4)) - own
+    P = np.abs(W.conj().swapaxes(2, 3) @ d["Gu"].reshape(B, L, r, L * K_u)) ** 2
+    own = np.einsum("bjnjn->bjn", P.reshape(B, L, K_u, L, K_u))   # P: (B, j, n, (l, k))
+    inter = P.sum(axis=3) - own
     denom = cfg.P_u * inter
     noise = cfg.sigma2
     ctrl = [np.log(nrm2), inter / nrm2]
@@ -298,16 +304,17 @@ def _batch_ul_logrates(d, profile, cfg, coef):
         denom = denom + cfg.P_u * err
         ctrl.append(err / nrm2)
     if "Z" in d:
-        # Z[:, l, m] is H^H w / |w| for the BS-BS channel H from BS l to its
-        # m-th other BS j, in BS l's coordinates; a BS has no BS-BS term with
-        # itself.
-        B, L, K_u = nrm2.shape
-        S = (np.abs(d["Z"].swapaxes(-1, -2) @ d["V"][:, :, None]) ** 2).sum(axis=4)
+        # Z[:, l, m, n] is H^H w / |w| for the BS-BS channel H from BS l to
+        # its m-th other BS j and user n's combiner w there, in BS l's
+        # coordinates; a BS has no BS-BS term with itself.
+        V = d["V"]
+        ZV = d["Z"].reshape(B, L, (L - 1) * K_u, V.shape[2]) @ V   # (B, l, (m, n), i)
+        S = (np.abs(ZV) ** 2).sum(axis=3).reshape(B, L * (L - 1), K_u)
         l, j = np.nonzero(1 - np.eye(L))                 # (l, m) pairs, l-major
-        to_rx = (j == jj[:, None]) * (coef[l] * profile.beta_b[j, l])   # (j, (l, m))
-        bsbs = to_rx @ S.reshape(B, L * (L - 1), K_u)                   # (B, j, n)
+        to_rx = np.eye(L)[:, j] * (coef[l] * profile.beta_b[j, l])     # (j, (l, m))
+        bsbs = to_rx @ S                                                # (B, j, n)
         denom = denom + nrm2 * bsbs
-        noise = noise + cfg.kappa * cfg.P_d * profile.beta_b[jj, jj, None]
+        noise = noise + cfg.kappa * cfg.P_d * profile.beta_b.diagonal()[:, None]
         ctrl.append(bsbs)
     sinr = cfg.P_u * nrm2 ** 2 / (denom + nrm2 * noise)
     return np.log2(1.0 + sinr), np.stack(ctrl, axis=-1)
@@ -317,29 +324,28 @@ def _batch_dl_logrates(d, profile, cfg, coef):
     """log2(1+SINR) for every downlink user in a batch, (B, L, K_d), and the
     user's controls, (B, L, K_d, p), whose means :func:`_control_means` gives.
 
-    Conjugate beamforming with the precoders V; F adds the full-duplex UE-UE
-    interference.  With Emu (estimated CSI) the user decodes against the
-    mean of its own gain; the SINR denominator then has the mean of
-    :func:`dl_rates_fd_imperfect`, so by Jensen this simulates a rate above
-    that bound, which :func:`fd_rates_mc` reports for fd/imperfect.  The
-    controls are log|own gain|^2 without Emu, then D, the SINR denominator
-    less noise.
+    Conjugate beamforming with the precoders V, one matmul per trial and BS;
+    the UE-UE powers F add the full-duplex UE-UE interference, and each FD
+    user keeps the residual kappa P_u beta_I of its own.  With Emu
+    (estimated CSI) the user decodes against the mean of its own gain; the
+    SINR denominator then has the mean of :func:`dl_rates_fd_imperfect`, so
+    by Jensen this simulates a rate above that bound, which
+    :func:`fd_rates_mc` reports for fd/imperfect.  The controls are
+    log|own gain|^2 without Emu, then D, the SINR denominator less noise.
     ``coef`` is :func:`per_cell_factors` for the batch's CSI mode.
     """
-    A = d["V"].conj().swapaxes(-1, -2)[:, :, None] @ d["Gd"]   # (B, j, l, i, k)
-    jj, K_f = np.arange(profile.L), profile.K_f
-    own = np.diagonal(A[:, jj, jj], axis1=-2, axis2=-1)        # (B, l, k)
+    V = d["V"]                                                  # (B, j, r, i)
+    B, L, r, K_d = V.shape
+    A = V.conj().swapaxes(2, 3) @ d["Gd"].reshape(B, L, r, L * K_d)  # (B, j, i, (l, k))
+    own = np.einsum("blklk->blk", A.reshape(B, L, K_d, L, K_d))
     own2 = np.abs(own) ** 2
     c = coef[:, None]
-    total = (coef[:, None, None] * (np.abs(A) ** 2).sum(axis=3)).sum(axis=1)
-    D = total - c * own2
+    D = (c * (np.abs(A) ** 2).sum(axis=2)).sum(axis=1).reshape(B, L, K_d) - c * own2
     if "F" in d:
-        F = d["F"]                                               # (B, l, k, j, n)
-        ue = cfg.P_u * (np.abs(F) ** 2).sum(axis=(3, 4))
-        ll, kk = np.ix_(jj, np.arange(K_f))
-        ue[..., :K_f] += cfg.P_u * (cfg.kappa * profile.beta_I[ll, kk, ll, kk]
-                                    - np.abs(F[:, ll, kk, ll, kk]) ** 2)
-        D = D + ue
+        K_f = profile.K_f
+        D = D + cfg.P_u * d["F"].sum(axis=(3, 4))
+        D[..., :K_f] += cfg.kappa * cfg.P_u * np.einsum(
+            "lklk->lk", profile.beta_I[:, :K_f, :, :K_f])
     if "Emu" in d:
         D = D + c * np.abs(own - d["Emu"]) ** 2
         sinr = c * d["Emu"] ** 2 / (D + cfg.sigma2_dl)

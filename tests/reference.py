@@ -391,32 +391,36 @@ def asymptotic_rates_loop(profile: LargeScaleProfile, cfg: SystemConfig,
 
 def vector_draw_trials(profile, cfg, rng, B, need_est, tdd):
     """Draw a batch of B coherence blocks (and estimates when requested),
-    with the keys of the library sampler's batches and M for r."""
+    with the keys and layout of the library sampler's batches and M for r:
+    channels (B, j, M, l, k) seen at BS j, and in FD runs the UE-UE powers
+    |F|^2 of complex channels F, each FD user's own pair zeroed, and the
+    BS-BS draws Z as M-vectors (B, l, m, n, M)."""
     L, K_u, K_d, K_f, M = profile.L, profile.K_u, profile.K_d, profile.K_f, cfg.M
-    Gu = draw_cn(rng, (B, L, L, M, K_u)) * np.sqrt(profile.beta_u[:, :, None, :])
-    Gd = draw_cn(rng, (B, L, L, M, K_d)) * np.sqrt(profile.beta_d[:, :, None, :])
+    Gu = draw_cn(rng, (B, L, M, L, K_u)) * np.sqrt(profile.beta_u[:, None])
+    Gd = draw_cn(rng, (B, L, M, L, K_d)) * np.sqrt(profile.beta_d[:, None])
     Gd[..., :K_f] = Gu[..., :K_f]          # one channel per FD user and BS
     jj = np.arange(L)
-    F = draw_cn(rng, (B, L, K_d, L, K_u)) * np.sqrt(profile.beta_I)
-    out = {"Gu": Gu, "Gd": Gd, "W": Gu[:, jj, jj], "V": Gd[:, jj, jj]}
+    F = np.abs(draw_cn(rng, (B, L, K_d, L, K_u))) ** 2 * profile.beta_I
+    ll, kk = np.ix_(jj, np.arange(K_f))
+    F[:, ll, kk, ll, kk] = 0.0             # cancelled by the FD user itself
+    own_u, own_d = (np.stack([G[:, j, :, j] for j in range(L)], axis=1) for G in (Gu, Gd))
+    out = {"Gu": Gu, "Gd": Gd, "W": own_u, "V": own_d}
     if need_est:
         st = estimation_stats(profile, cfg)
-        own_u = profile.beta_u[jj, jj]                       # (L, K_u)
-        own_d = profile.beta_d[jj, jj]
-        cu = (cfg.P_tr * own_u / st.lam_u)[None, :, None, :]  # (1, L, 1, K_u)
-        cd = (cfg.P_tr * own_d / st.lam_d)[None, :, None, :]
+        cu = (cfg.P_tr * profile.beta_u[jj, jj] / st.lam_u)[None, :, None, :]  # (1, L, 1, K_u)
+        cd = (cfg.P_tr * profile.beta_d[jj, jj] / st.lam_d)[None, :, None, :]
         scale = math.sqrt(cfg.sigma2 / cfg.P_tr)
-        Yu = Gu.sum(axis=2) + scale * draw_cn(rng, (B, L, M, K_u))
+        Yu = Gu.sum(axis=3) + scale * draw_cn(rng, (B, L, M, K_u))
         Ghu = cu * Yu
-        Yd = Gd.sum(axis=2) + scale * draw_cn(rng, (B, L, M, K_d))
+        Yd = Gd.sum(axis=3) + scale * draw_cn(rng, (B, L, M, K_d))
         Ghd = cd * Yd
         if not tdd:
             # Full-duplex training: one shared pilot per FD user.
             Ghd[..., :K_f] = Ghu[..., :K_f]
-        out.update(W=Ghu, V=Ghd, Eps=Gu[:, jj, jj] - Ghu,
-                   Emu=M * cfg.P_tr * own_d ** 2 / st.lam_d)
+        out.update(W=Ghu, V=Ghd, Eps=own_u - Ghu,
+                   Emu=M * cfg.P_tr * profile.beta_d[jj, jj] ** 2 / st.lam_d)
     if not tdd:
-        out.update(F=F, Z=draw_cn(rng, (B, L, L - 1, M, K_u)))
+        out.update(F=F, Z=draw_cn(rng, (B, L, L - 1, K_u, M)))
     return out
 
 

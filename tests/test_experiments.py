@@ -9,6 +9,7 @@ from fdmimo import (ExperimentResult, HomogeneousConfig, ScenarioParams, emit,
                     experiment_rates, experiment_tightness,
                     experiment_tradeoff)
 from fdmimo.cli import build_parser, main
+from fdmimo.experiments import reference_schedule
 
 
 @pytest.fixture
@@ -205,3 +206,27 @@ def test_cli_unwritable_out_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: ") and "No such file" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("drops", [0, -1])
+def test_cli_rejects_fewer_than_one_drop(tmp_path, capsys, drops):
+    """A sweep over no drops has no mean: exit 1 with an error that names
+    drops, not a ZeroDivisionError or a math domain error."""
+    rc = main(["gain-vs-m", "--drops", str(drops), "--trials", "8",
+               "--m-list", "8", "--out", str(tmp_path / "g.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: drops ")
+
+
+@pytest.mark.parametrize("csi", ["perfect", "imperfect"])
+@pytest.mark.parametrize("m_ref", [0, -4])
+def test_m_ref_below_one_rejected(tmp_path, capsys, tiny_h, csi, m_ref):
+    """A reference antenna count below 1 is named, in the library and on the
+    command line, instead of blaming the powers or a square root."""
+    with pytest.raises(ValueError, match="m_ref"):
+        reference_schedule(tiny_h, csi, m_ref)
+    rc = main(["power-scaling", "--cells", "2", "--users", "2", "--m-list", "16",
+               "--trials", "8", "--csi", csi, "--m-ref", str(m_ref),
+               "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: m_ref ")

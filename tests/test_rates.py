@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdmimo import (LargeScaleProfile, SystemConfig, dl_rates_fd_imperfect,
-                    fd_rates_mc, overheads, prop2_rates, tdd_rates_mc, validate)
+                    expand_homogeneous, fd_rates_mc, overheads, prop2_rates,
+                    tdd_rates_mc, validate)
 from fdmimo.channel import draw_cn, trial_rng
 from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _mc_rates,
                           per_cell_factors)
@@ -17,18 +19,23 @@ from reference import (dl_sinr_fd_perfect, estimate_all, realize_channels,
 
 
 def as_batch(real, est=None, bs_bs=False):
-    """One realization as a batch of one: perfect CSI, or the estimates
-    ``est`` as combiners and precoders.  With ``bs_bs`` it also holds unit
-    BS-BS draws, and with them the uplink's full-duplex terms."""
+    """One realization as a batch of one, in the sampler's layout: channels
+    (1, j, M, l, k), perfect CSI or the estimates ``est`` as combiners and
+    precoders, and UE-UE powers |F|^2 without each FD user's own pair.  With
+    ``bs_bs`` it also holds unit BS-BS draws, and with them the uplink's
+    full-duplex terms."""
     L, _, M, K_u = real.G_u.shape
-    jj = np.arange(L)
-    d = {"Gu": real.G_u[None], "Gd": real.G_d[None], "F": real.F[None],
+    jj, ll, kk = np.arange(L), *np.ix_(np.arange(L), np.arange(real.K_f))
+    F = np.abs(real.F) ** 2
+    F[ll, kk, ll, kk] = 0.0
+    d = {"Gu": np.moveaxis(real.G_u, 2, 1)[None], "F": F[None],
+         "Gd": np.moveaxis(real.G_d, 2, 1)[None],
          "W": real.G_u[None, jj, jj], "V": real.G_d[None, jj, jj]}
     if est is not None:
         d.update(W=est.g_hat_u[None], V=est.g_hat_d[None],
                  Eps=real.G_u[None, jj, jj] - est.g_hat_u[None])
     if bs_bs:
-        d["Z"] = draw_cn(np.random.default_rng(0), (1, L, L - 1, M, K_u))
+        d["Z"] = draw_cn(np.random.default_rng(0), (1, L, L - 1, K_u, M))
     return d
 
 
@@ -141,6 +148,25 @@ def test_imperfect_ul_loop_reference(small_profile, small_config):
             ref = np.log2(1 + ul_sinr_fd_imperfect(real, est, small_config, coef,
                                                    prof, j, n))
             assert lu[j, n] == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("csi", ["perfect", "imperfect"])
+def test_op_memory_peak(paper_homogeneous, csi):
+    """One 64-trial fd_rates_mc (one full batch) on the paper config at
+    M = 300 allocates at most 8.0 MB at its peak, as traced by tracemalloc:
+    the per-op working set that sets the benchmark's peak resident memory.
+    Measured peaks: 6.68 MB perfect and 7.38 MB estimated CSI (before the
+    batched-matmul layout and UE-UE powers: 7.63 and 7.55 MB)."""
+    prof = expand_homogeneous(paper_homogeneous)
+    cfg = paper_homogeneous.system_config(M=300)
+    fd_rates_mc(prof, cfg, 64, 0, csi=csi)
+    tracemalloc.start()
+    try:
+        fd_rates_mc(prof, cfg, 64, 1, csi=csi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_mc_determinism(small_profile, small_config):

@@ -6,7 +6,7 @@ import pytest
 from fdmimo import (PowerScalingSchedule, ScenarioParams, SystemConfig,
                     asymptotic_rates, expand_homogeneous, fd_rates_mc)
 from fdmimo import rates
-from fdmimo.channel import draw_cn
+from fdmimo.channel import draw_cn, trial_rng
 from fdmimo.rates import _mc_rates, _TrialSampler
 from fdmimo.scenario import drop_topology, profile_from_topology
 
@@ -64,9 +64,11 @@ def test_gram_sampler_matches_vector_sampler(small_profile, small_config, case,
 def test_gram_sampler_shapes(small_profile, small_config):
     """Same keys and shapes as the M-vector model, with each part's
     r = min(M, D) for M: Gu, W and Eps have the combiners' r rows, Gd, V and
-    the BS-BS draws Z the precoders'.  With FD users there is one part of
-    D = 5; in the all-HD network D is 4 for the combiners and 5 for the
-    precoders.  An FD user's downlink channel is its uplink one at every BS,
+    the BS-BS draws Z the precoders'.  Channels are (B, j, r, l, k) and Z
+    (B, l, m, n, r).  F holds real UE-UE powers, zero exactly at each FD
+    user's own pair and positive elsewhere.  With FD users there is one
+    part of D = 5; in the all-HD network D is 4 for the combiners and 5 for
+    the precoders.  An FD user's downlink channel is its uplink one at every BS,
     and with FD training its precoder is its combiner.  Without the
     downlink kernel the batch has no Gd or F; from the same stream it has
     the same Gu, W, Eps and V, up to rounding where the precoders' part
@@ -77,12 +79,16 @@ def test_gram_sampler_shapes(small_profile, small_config):
         d = sampler.draw(np.random.default_rng(0), 4)
         assert [r for *_, r in sampler.parts] == dims
         r_u, r_d = dims[0], dims[-1]
-        assert d["Gu"].shape == (4, p.L, p.L, r_u, p.K_u)
+        assert d["Gu"].shape == (4, p.L, r_u, p.L, p.K_u)
         assert d["W"].shape == d["Eps"].shape == (4, p.L, r_u, p.K_u)
-        assert d["Gd"].shape == (4, p.L, p.L, r_d, p.K_d)
+        assert d["Gd"].shape == (4, p.L, r_d, p.L, p.K_d)
         assert d["V"].shape == (4, p.L, r_d, p.K_d)
         assert d["F"].shape == (4, p.L, p.K_d, p.L, p.K_u)
-        assert d["Z"].shape == (4, p.L, p.L - 1, r_d, p.K_u)
+        assert d["Z"].shape == (4, p.L, p.L - 1, p.K_u, r_d)
+        assert d["F"].dtype == float and (d["F"] >= 0).all()
+        ll, kk = np.ix_(np.arange(p.L), np.arange(p.K_f))
+        assert (d["F"][:, ll, kk, ll, kk] == 0).all()
+        assert (d["F"].sum(axis=0) > 0).sum() == p.beta_I.size - p.L * p.K_f
         if p.K_f:
             np.testing.assert_array_equal(d["Gd"][..., :p.K_f], d["Gu"][..., :p.K_f])
             np.testing.assert_array_equal(d["V"][..., :p.K_f], d["W"][..., :p.K_f])
@@ -114,30 +120,47 @@ def test_every_source_feeds_an_output(small_profile, small_config, system, csi):
         out = sampler._assemble(eye[..., :sampler.S_u], eye[..., sampler.S_u:])
         part = np.repeat(np.arange(len(sizes)), sizes)      # each source's part
         used = np.zeros((L, S), bool)
-        for key, x in out.items():   # the source index runs along axis -2
-            reads = np.moveaxis(x[0] != 0, -2, 1).reshape(L, S, -1).any(axis=2)
+        for key, x in out.items():   # the source index runs along axis 2
+            reads = (x[0] != 0).reshape(L, S, -1).any(axis=2)
             assert len(set(part[reads.any(axis=0)])) == 1, f"{key} reads two parts"
             used |= reads
         assert used.all(), f"{case}: unread (BS, source): {np.argwhere(~used).tolist()}"
 
 
-@pytest.mark.parametrize("case,system,csi,values", [
-    ("drop", "fd", "imperfect", 499_200), ("drop", "tdd", "imperfect", 537_600),
-    ("drop", "fd", "perfect", 940_800), ("paper", "fd", "perfect", 235_200),
-    ("paper", "fd", "imperfect", 168_000)])
-def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, values):
-    """CN values one 64-trial batch draws.  A criterion-8 drop (12 all-HD
-    cells, 5 + 5 users, M = 100) draws each link's part in its own span, and
-    fd/imperfect, whose downlink is analytic, draws no F and no downlink
-    sources: with one span for both links the imperfect runs drew 1,728,000
-    (fd) and 1,075,200 (tdd) values.  The paper config (K_f = 5) keeps one
-    span; fd/imperfect drops F's 78,400 values."""
-    counts = []
+BUDGETS = [("drop", "fd", "imperfect", 499_200, 0), ("drop", "tdd", "imperfect", 537_600, 0),
+           ("drop", "fd", "perfect", 710_400, 230_400),
+           ("paper", "fd", "perfect", 156_800, 78_400), ("paper", "fd", "imperfect", 168_000, 0)]
+
+
+@pytest.mark.parametrize("case,system,csi,values,exps", BUDGETS,
+                         ids=["-".join(map(str, b[:4])) for b in BUDGETS])
+def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, values, exps):
+    """CN values and Exp(1) values one 64-trial batch draws.  A criterion-8
+    drop (12 all-HD cells, 5 + 5 users, M = 100) draws each link's part in
+    its own span, and fd/imperfect, whose downlink is analytic, draws no F
+    and no downlink sources: with one span for both links the imperfect runs
+    drew 1,728,000 (fd) and 1,075,200 (tdd) CN values.  The paper config
+    (K_f = 5) keeps one span; fd/imperfect draws no F.  F is drawn as
+    powers, one Exp(1) value per entry where it was one CN value: fd/perfect
+    drew 940,800 (drop) and 235,200 (paper) CN values with complex F."""
+    counts, exp_counts = [], []
 
     def counting_draw_cn(rng, shape):
         x = draw_cn(rng, shape)
         counts.append(x.size)
         return x
+
+    class CountingRng:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_exponential(self, size):
+            x = self.rng.standard_exponential(size)
+            exp_counts.append(x.size)
+            return x
 
     if case == "drop":
         params = ScenarioParams()
@@ -148,8 +171,9 @@ def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, values):
         prof = expand_homogeneous(paper_homogeneous)
         cfg = paper_homogeneous.system_config()
     monkeypatch.setattr(rates, "draw_cn", counting_draw_cn)
+    monkeypatch.setattr(rates, "trial_rng", lambda seed, t: CountingRng(trial_rng(seed, t)))
     _mc_rates(prof, cfg, system, csi, 64, 0)
-    assert sum(counts) == values
+    assert (sum(counts), sum(exp_counts)) == (values, exps)
 
 
 def test_tdd_batch_has_no_ue_ue_matrix(small_profile, small_config):
