@@ -97,7 +97,7 @@ def _place_with_min_dist(rng, draw_one, others, min_dists, budget=100_000):
         p = draw_one()
         ok = True
         for pts, dmin in zip(others, min_dists):
-            if len(pts) and np.min(np.hypot(*(pts - p).T)) < dmin:
+            if len(pts) and np.hypot(*(pts - p).T).min() < dmin:
                 ok = False
                 break
         if ok:
@@ -116,13 +116,12 @@ def build_topology(rng, n_bs: int, hex_radius: float,
         raise TopologyError(f"min_bs_ue ({min_bs_ue}) must be below "
                             f"ue_drop_radius ({ue_drop_radius})")
     rng = np.random.default_rng(rng)
-    bs = []
-    for _ in range(n_bs):
-        p = _place_with_min_dist(
-            rng, lambda: sample_hexagon(rng, hex_radius, 1)[0],
-            [np.asarray(bs).reshape(-1, 2)], [min_bs_bs])
-        bs.append(p)
-    bs = np.asarray(bs)
+    # Each point is placed against the ones placed before it, read as a
+    # prefix of the array being filled.
+    bs = np.empty((n_bs, 2))
+    for i in range(n_bs):
+        bs[i] = _place_with_min_dist(rng, lambda: sample_hexagon(rng, hex_radius, 1)[0],
+                                     [bs[:i]], [min_bs_bs])
 
     def draw_ue(center):
         def one():
@@ -133,28 +132,23 @@ def build_topology(rng, n_bs: int, hex_radius: float,
                     return center + q
         return one
 
-    ues = []
-    all_ue = []
-    for cell in range(n_bs):
-        placed = []
-        for _ in range(n_ul_per_bs + n_dl_per_bs):
-            p = _place_with_min_dist(
-                rng, draw_ue(bs[cell]),
-                [bs, np.asarray(all_ue).reshape(-1, 2)],
-                [min_bs_ue, min_ue_ue])
-            placed.append(p)
-            all_ue.append(p)
-        ues.append(placed)
-    ues = np.asarray(ues)
+    n_ue = n_ul_per_bs + n_dl_per_bs
+    ues = np.empty((n_bs, n_ue, 2))
+    placed = ues.reshape(-1, 2)                 # cell-major, a view of ues
+    for i in range(len(placed)):
+        placed[i] = _place_with_min_dist(rng, draw_ue(bs[i // n_ue]), [bs, placed[:i]],
+                                         [min_bs_ue, min_ue_ue])
     return Topology(bs_positions=bs,
                     ul_ue_positions=ues[:, :n_ul_per_bs],
                     dl_ue_positions=ues[:, n_ul_per_bs:])
 
 
-def draw_cn(rng: np.random.Generator, shape) -> np.ndarray:
+def draw_cn(rng: np.random.Generator, shape, out=None) -> np.ndarray:
     """i.i.d. circularly-symmetric CN(0,1) samples: one call draws the real
-    and imaginary parts side by side, viewed in place as complex."""
-    x = rng.standard_normal((*np.atleast_1d(shape), 2))
+    and imaginary parts side by side, viewed in place as complex.  ``out``,
+    a C-contiguous float array of shape (*shape, 2), receives the draws
+    (the same values as without it)."""
+    x = rng.standard_normal((*np.atleast_1d(shape), 2), out=out)
     x *= math.sqrt(0.5)
     return x.view(np.complex128)[..., 0]
 

@@ -83,13 +83,22 @@ class ValidationResult:
     violations: tuple = ()
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer; not a bool, nor a float of integral value."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def validate(cfg: SystemConfig, closed_forms: bool = False) -> ValidationResult:
     """Check every SystemConfig invariant.
 
     Set ``closed_forms=True`` when the Proposition-style lower bounds will be
     evaluated; their derivation needs M >= 3.
     """
-    bad = []
+    bad = [f"{name}: integer required, got {getattr(cfg, name)!r}"
+           for name in ("L", "M", "T", "K_f", "K_h_u", "K_h_d", "tau", "tau_u", "tau_d")
+           if not _is_integer(getattr(cfg, name))]
+    if bad:     # the checks below compare sizes as integers
+        return ValidationResult(ok=False, violations=tuple(bad))
     for name in ("L", "M", "T"):
         if getattr(cfg, name) < 1:
             bad.append(f"{name}: positive integer required")

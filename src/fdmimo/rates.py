@@ -50,6 +50,16 @@ exactly those of the M-vector model.  The sampler makes every draw; the
 kernels are pure functions of a batch, whose keys say which terms exist,
 with one matmul per trial and BS for each set of inner products.
 
+The batch's large arrays (the sources' coordinates and their projection,
+the UE-UE powers, the BS-BS draws, and the kernels' inner products and their
+powers) are written with ``out=`` into a scratch pool of byte buffers
+(:func:`_scratch`), one per thread, kept across batches and calls, so they
+land in pages already mapped instead of freshly faulted ones.  A buffer is
+handed out again only when no live array views it, so a caller holding a
+batch never sees it overwritten.  The pool holds at most one buffer per
+array of the largest set a batch keeps alive at once, and every result is
+bit-identical to one computed in fresh arrays.
+
 Each simulated rate is a control-variate estimate.  Besides its log-rate,
 a kernel returns per-trial controls, powers it forms anyway, whose means
 are exact closed forms (:func:`_control_means`); :mod:`fdmimo.crossfit`
@@ -61,13 +71,15 @@ the regression residuals, far below that of the log-rates themselves.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import draw_cn, trial_rng
 from .crossfit import accumulate, crossfit
-from .config import LargeScaleProfile, SystemConfig, validate
+from .config import LargeScaleProfile, SystemConfig, _is_integer, validate
 from .estimation import estimation_stats
 
 
@@ -160,6 +172,43 @@ def overheads(cfg: SystemConfig, system: str, csi: str) -> tuple[float, float]:
 _BATCH = 64    # trials per batch; batch t draws from trial_rng(seed, t)
 
 
+class _Pool(threading.local):
+    """This thread's scratch byte buffers, kept across batches and calls."""
+
+    def __init__(self):
+        self.bufs = []
+
+
+_pool = _Pool()
+
+
+def _scratch(shape, dtype=np.float64):
+    """An uninitialised C-contiguous array from this thread's scratch pool.
+
+    The batch's large arrays are written into it, so they land in pages
+    already mapped instead of freshly faulted ones.  A buffer is handed out
+    again only when no live array views it: every view's base is the buffer,
+    so its refcount is then the pool's own.  The smallest free buffer that
+    fits is taken; a free one too small for the request is replaced, not
+    kept, so the pool never holds more buffers than a batch has pooled arrays
+    alive at once.
+    """
+    n = math.prod(shape) * np.dtype(dtype).itemsize
+    bufs = _pool.bufs
+    # The list's reference and getrefcount's argument: no view is alive.
+    free = [i for i in range(len(bufs)) if sys.getrefcount(bufs[i]) == 2]
+    fits = [i for i in free if bufs[i].size >= n]
+    if fits:
+        buf = bufs[min(fits, key=lambda i: bufs[i].size)]
+    else:
+        buf = np.empty(n, np.uint8)
+        if free:
+            bufs[max(free, key=lambda i: bufs[i].size)] = buf
+        else:
+            bufs.append(buf)
+    return buf[:n].view(dtype).reshape(shape)
+
+
 class _TrialSampler:
     """Batches of coherence blocks in each BS's own coordinates; the only
     code here that draws random numbers.
@@ -199,7 +248,7 @@ class _TrialSampler:
             self.S_u += K_u
             S += K_u + K_d - self.shared
         # Assembling the identity gives each span vector's source coefficients.
-        eye = np.broadcast_to(np.eye(S), (1, L, S, S))
+        eye = np.tile(np.eye(S), (1, L, 1, 1))
         d = self._assemble(eye[..., :self.S_u], eye[..., self.S_u:])
         # Each BS's combiners and the precoders not among them, (L, S, D).
         coef = np.concatenate([d["W"], d["V"][..., self.shared:]], axis=-1)[0]
@@ -217,12 +266,14 @@ class _TrialSampler:
     def _assemble(self, Tu, Td=None):
         """The batch dict from the unit sources' coordinates, (B, L, r, S):
         Tu the uplink ones', Td the downlink ones' (the same r when FD users
-        tie them).  Without Td only Gu, W and Eps; without ``dl`` no Gd."""
+        tie them).  The channels are the channel sources' coordinates scaled
+        in place.  Without Td only Gu, W and Eps; without ``dl`` no Gd."""
         p = self.profile
         B, L, r = Tu.shape[:3]
         K_u, K_f, K_h = p.K_u, p.K_f, p.K_d - p.K_f
         a, b = L * K_u, L * K_h
-        Gu = Tu[..., :a].reshape(B, L, r, L, K_u) * np.sqrt(p.beta_u)[:, None]
+        Gu = Tu[..., :a].reshape(B, L, r, L, K_u)
+        Gu *= np.sqrt(p.beta_u)[:, None]
         out = {"Gu": Gu, "W": np.einsum("bjrjk->bjrk", Gu)}     # Gu[:, j, :, j]
         if self.mmse is not None:
             # Pilot observations: slot n < K_u carries uplink user n; each
@@ -233,9 +284,10 @@ class _TrialSampler:
         if Td is None:
             return out
         Gd = Td[..., :b].reshape(B, L, Td.shape[2], L, K_h)
-        Gd = Gd * np.sqrt(p.beta_d[..., K_f:])[:, None]
+        Gd *= np.sqrt(p.beta_d[..., K_f:])[:, None]
         if K_f:     # an FD user's downlink channel is its uplink one
-            Gd = np.concatenate([Gu[..., :K_f], Gd], axis=-1)
+            Gd = Gu[..., :K_f] if not K_h else np.concatenate(
+                [Gu[..., :K_f], Gd], axis=-1, out=_scratch((*Gd.shape[:-1], p.K_d), Gd.dtype))
         out["V"] = np.einsum("bjrjk->bjrk", Gd)
         if self.dl:
             out["Gd"] = Gd
@@ -252,7 +304,9 @@ class _TrialSampler:
         (L, K_d)); in FD runs the UE-UE powers F (B, l, k, j, n), user n of
         cell j at user k of cell l, and the unit BS-BS r-vectors Z
         (B, l, m, n, r) in V's coordinates, from BS l to its m-th other BS,
-        for user n's combiner there.  Without ``dl`` no Gd or F."""
+        for user n's combiner there.  Without ``dl`` no Gd or F.  The large
+        arrays live in the thread's scratch pool, which leaves them alone
+        while the caller holds them."""
         p, M = self.profile, self.cfg.M
         T = []
         for i, (Q, RC, r) in enumerate(self.parts):
@@ -262,8 +316,10 @@ class _TrialSampler:
             if i and not self.dl:       # the precoders' own part: only V is read
                 T.append(R0 @ RC)                        # the span, R0 Q^T C
                 continue
-            X = draw_cn(rng, (B, L, r, S))               # Xi'
-            T.append(X + (R0 - X @ Q) @ Q.swapaxes(1, 2))   # R0 Q^T + Xi' (I - Q Q^T)
+            X = draw_cn(rng, (B, L, r, S), out=_scratch((B, L, r, S, 2)))    # Xi'
+            # R0 Q^T + Xi' (I - Q Q^T), in Xi''s place
+            X += np.matmul(R0 - X @ Q, Q.swapaxes(1, 2), out=_scratch(X.shape, complex))
+            T.append(X)
         if len(T) == 1:
             out = self._assemble(*np.split(T[0], [self.S_u], axis=-1))
         else:
@@ -273,9 +329,20 @@ class _TrialSampler:
             out["Emu"] = self.Emu
         if not self.tdd:
             if self.dl:
-                out["F"] = self.ue_gain * rng.standard_exponential((B, *self.ue_gain.shape))
-            out["Z"] = draw_cn(rng, (B, L, L - 1, p.K_u, out["V"].shape[2]))
+                F = rng.standard_exponential(out=_scratch((B, *self.ue_gain.shape)))
+                F *= self.ue_gain
+                out["F"] = F
+            shape = (B, L, L - 1, p.K_u, out["V"].shape[2])
+            out["Z"] = draw_cn(rng, shape, out=_scratch((*shape, 2)))
         return out
+
+
+def _power(A):
+    """|A|^2 of a pooled complex array, in a pooled real one; A's buffer is
+    free again once the caller drops its own references."""
+    P = np.abs(A, out=_scratch(A.shape))
+    P *= P
+    return P
 
 
 def _batch_ul_logrates(d, profile, cfg, coef):
@@ -293,23 +360,30 @@ def _batch_ul_logrates(d, profile, cfg, coef):
     W = d["W"]                                                  # (B, j, r, n)
     B, L, r, K_u = W.shape
     nrm2 = (np.abs(W) ** 2).sum(axis=2)                         # (B, j, n)
-    P = np.abs(W.conj().swapaxes(2, 3) @ d["Gu"].reshape(B, L, r, L * K_u)) ** 2
+    Wc = W.conj()
+    P = _power(np.matmul(Wc.swapaxes(2, 3), d["Gu"].reshape(B, L, r, L * K_u),
+                         out=_scratch((B, L, K_u, L * K_u), complex)))
     own = np.einsum("bjnjn->bjn", P.reshape(B, L, K_u, L, K_u))   # P: (B, j, n, (l, k))
     inter = P.sum(axis=3) - own
+    del P, own
     denom = cfg.P_u * inter
     noise = cfg.sigma2
     ctrl = [np.log(nrm2), inter / nrm2]
     if "Eps" in d:
-        err = np.abs((W.conj() * d["Eps"]).sum(axis=2)) ** 2
+        Wc *= d["Eps"]
+        err = np.abs(Wc.sum(axis=2)) ** 2
         denom = denom + cfg.P_u * err
         ctrl.append(err / nrm2)
+    del Wc
     if "Z" in d:
         # Z[:, l, m, n] is H^H w / |w| for the BS-BS channel H from BS l to
         # its m-th other BS j and user n's combiner w there, in BS l's
         # coordinates; a BS has no BS-BS term with itself.
         V = d["V"]
-        ZV = d["Z"].reshape(B, L, (L - 1) * K_u, V.shape[2]) @ V   # (B, l, (m, n), i)
-        S = (np.abs(ZV) ** 2).sum(axis=3).reshape(B, L * (L - 1), K_u)
+        ZV = np.matmul(d["Z"].reshape(B, L, (L - 1) * K_u, V.shape[2]), V,
+                       out=_scratch((B, L, (L - 1) * K_u, V.shape[3]), complex))
+        S = _power(ZV).sum(axis=3).reshape(B, L * (L - 1), K_u)     # ZV: (B, l, (m, n), i)
+        del ZV
         l, j = np.nonzero(1 - np.eye(L))                 # (l, m) pairs, l-major
         to_rx = np.eye(L)[:, j] * (coef[l] * profile.beta_b[j, l])     # (j, (l, m))
         bsbs = to_rx @ S                                                # (B, j, n)
@@ -336,11 +410,12 @@ def _batch_dl_logrates(d, profile, cfg, coef):
     """
     V = d["V"]                                                  # (B, j, r, i)
     B, L, r, K_d = V.shape
-    A = V.conj().swapaxes(2, 3) @ d["Gd"].reshape(B, L, r, L * K_d)  # (B, j, i, (l, k))
+    A = np.matmul(V.conj().swapaxes(2, 3), d["Gd"].reshape(B, L, r, L * K_d),
+                  out=_scratch((B, L, K_d, L * K_d), complex))      # (B, j, i, (l, k))
     own = np.einsum("blklk->blk", A.reshape(B, L, K_d, L, K_d))
     own2 = np.abs(own) ** 2
     c = coef[:, None]
-    D = (c * (np.abs(A) ** 2).sum(axis=2)).sum(axis=1).reshape(B, L, K_d) - c * own2
+    D = (c * _power(A).sum(axis=2)).sum(axis=1).reshape(B, L, K_d) - c * own2
     if "F" in d:
         K_f = profile.K_f
         D = D + cfg.P_u * d["F"].sum(axis=(3, 4))
@@ -446,12 +521,15 @@ def _simulate(draw, profile, cfg, system, csi, trials, seed):
             z.append(np.concatenate([x - m, pad, y[..., None]], axis=-1))
         # Every batch starts at an even trial, since _BATCH is even.
         folds = accumulate(folds, np.concatenate(z, axis=-2))
+        del d      # its buffers go back to the pool before the next batch draws
     return crossfit(folds)
 
 
 def _mc_rates(profile, cfg, system, csi, trials, seed):
     _check_mode(system, csi)
     _check_inputs(profile, cfg)
+    if not _is_integer(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     analytic_dl = system == "fd" and csi == "imperfect"

@@ -1,7 +1,21 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from fdmimo import HomogeneousConfig, LargeScaleProfile, SystemConfig
+from fdmimo import rates
+
+
+def in_fresh_thread(fn):
+    """fn() in a new thread, whose Monte Carlo scratch pool starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as ex:
+        return ex.submit(fn).result(timeout=300)
+
+
+def pool_bytes():
+    """Bytes held by the calling thread's Monte Carlo scratch pool."""
+    return sum(b.nbytes for b in rates._pool.bufs)
 
 
 def random_profile(rng, L=3, K_f=1, K_h_u=1, K_h_d=1):

@@ -151,3 +151,22 @@ def test_validate_rejects_no_downlink_users():
     res = validate(base_cfg(K_f=0, K_h_d=0))
     assert not res.ok
     assert any(v.startswith("K_d") for v in res.violations)
+
+
+@pytest.mark.parametrize("name", ["L", "M", "T", "K_f", "K_h_u", "K_h_d",
+                                  "tau", "tau_u", "tau_d"])
+@pytest.mark.parametrize("value", [20.5, 7.0, True])
+def test_validate_rejects_non_integer_sizes(name, value):
+    """A size that is a float, even an integral one, or a bool is named, not
+    accepted or left to fail as a raw TypeError further in.  A user count
+    also makes the default pilot lengths, its sums, non-integers."""
+    res = validate(base_cfg(**{name: value}))
+    assert not res.ok
+    assert res.violations[0] == f"{name}: integer required, got {value!r}"
+    assert all("integer required" in v for v in res.violations)
+
+
+def test_validate_accepts_numpy_integers():
+    kw = {name: np.int64(getattr(base_cfg(), name))
+          for name in ("L", "M", "T", "K_f", "K_h_u", "K_h_d", "tau", "tau_u", "tau_d")}
+    assert validate(base_cfg(**kw)).ok

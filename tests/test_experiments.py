@@ -230,3 +230,15 @@ def test_m_ref_below_one_rejected(tmp_path, capsys, tiny_h, csi, m_ref):
                "--out", str(tmp_path / "p.csv")])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: m_ref ")
+
+
+def test_cli_scenario_fractional_antenna_count(tmp_path, capsys):
+    """A scenario file whose M_list holds 20.5 exits 1 with an error that
+    names M, not a TypeError from an array shape."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n_bs": 3, "n_ul_hd": 2, "n_dl_hd": 2,
+                                "M_list": [20.5]}))
+    rc = main(["gain-vs-m", "--config", str(path), "--drops", "1", "--trials",
+               "8", "--out", str(tmp_path / "g.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: invalid config: M: integer required")

@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdmimo import (LargeScaleProfile, SystemConfig, dl_rates_fd_imperfect,
-                    expand_homogeneous, fd_rates_mc, overheads, prop2_rates,
-                    tdd_rates_mc, validate)
+                    expand_homogeneous, fd_rates_mc, overheads, prop1_rates,
+                    prop2_rates, tdd_rates_mc, validate)
 from fdmimo.channel import draw_cn, trial_rng
 from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _mc_rates,
                           per_cell_factors)
+from fdmimo.scenario import ScenarioParams, run_drop
 
-from conftest import random_profile
+from conftest import in_fresh_thread, pool_bytes, random_profile
 from reference import (dl_sinr_fd_perfect, estimate_all, realize_channels,
                        ul_sinr_fd_imperfect, ul_sinr_fd_perfect)
 
@@ -150,23 +151,60 @@ def test_imperfect_ul_loop_reference(small_profile, small_config):
             assert lu[j, n] == pytest.approx(ref, rel=1e-10)
 
 
+def traced_peak(fn):
+    """The peak bytes tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("csi", ["perfect", "imperfect"])
 def test_op_memory_peak(paper_homogeneous, csi):
     """One 64-trial fd_rates_mc (one full batch) on the paper config at
     M = 300 allocates at most 8.0 MB at its peak, as traced by tracemalloc:
     the per-op working set that sets the benchmark's peak resident memory.
-    Measured peaks: 6.68 MB perfect and 7.38 MB estimated CSI (before the
-    batched-matmul layout and UE-UE powers: 7.63 and 7.55 MB)."""
+    The call runs from an empty scratch pool, so the pool's buffers count.
+    Measured peaks: 5.97 MB perfect and 5.68 MB estimated CSI (with fresh
+    arrays per batch 6.68 and 6.12 MB; before the batched-matmul layout and
+    UE-UE powers 7.63 and 7.55 MB)."""
     prof = expand_homogeneous(paper_homogeneous)
     cfg = paper_homogeneous.system_config(M=300)
     fd_rates_mc(prof, cfg, 64, 0, csi=csi)
-    tracemalloc.start()
-    try:
-        fd_rates_mc(prof, cfg, 64, 1, csi=csi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = in_fresh_thread(lambda: traced_peak(lambda: fd_rates_mc(prof, cfg, 64, 1, csi=csi)))
     assert peak <= 8.0e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("csi", ["perfect", "imperfect"])
+def test_op_memory_steady_state(paper_homogeneous, csi):
+    """A warm repeat of that call writes its batch into the pool: it adds no
+    pool bytes and allocates under 1 MB (traced; measured 0.56 MB perfect and
+    0.93 MB estimated CSI, the small per-batch arrays)."""
+    prof = expand_homogeneous(paper_homogeneous)
+    cfg = paper_homogeneous.system_config(M=300)
+
+    def repeat():
+        fd_rates_mc(prof, cfg, 64, 0, csi=csi)
+        before = pool_bytes()
+        peak = traced_peak(lambda: fd_rates_mc(prof, cfg, 64, 1, csi=csi))
+        return peak, pool_bytes() - before
+    peak, grown = in_fresh_thread(repeat)
+    assert grown == 0
+    assert peak < 1.0e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_drop_pool_bytes():
+    """After one criterion-8 drop at M = 100 with 64 trials (FD then TDD),
+    the pool holds at most 16 MB: the largest set of batch arrays alive at
+    once, about 13.8 MB (the TDD batch's two source blocks, the projection
+    and the downlink powers)."""
+    def drop():
+        run_drop(ScenarioParams(), 100, -60.0, [4242, 0], trials=64)
+        return pool_bytes()
+    held = in_fresh_thread(drop)
+    assert held <= 16e6, f"pool holds {held / 1e6:.2f} MB"
 
 
 def test_mc_determinism(small_profile, small_config):
@@ -191,6 +229,29 @@ def test_mc_rejects_invalid_config(small_profile, small_config):
 def test_mc_rejects_no_trials(small_profile, small_config, trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         tdd_rates_mc(small_profile, small_config, "perfect", trials, 0)
+
+
+@pytest.mark.parametrize("trials", [64.0, 8.5, True])
+def test_mc_rejects_non_integer_trials(small_profile, small_config, trials):
+    """A float or bool trial count is named, not run as one trial or left
+    to fail as a raw TypeError."""
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        fd_rates_mc(small_profile, small_config, trials, 0)
+    rep = fd_rates_mc(small_profile, small_config, np.int64(8), 0)
+    assert rep.n_trials == 8
+
+
+@pytest.mark.parametrize("M", [20.5, 7.0])
+def test_non_integer_antenna_count_rejected(small_profile, small_config, M):
+    """M = 20.5 is no antenna count: the closed forms and both Monte Carlo
+    drivers name it instead of returning rates or raising a TypeError."""
+    cfg = small_config.replace(M=M)
+    with pytest.raises(ValueError, match="M: integer required"):
+        prop1_rates(small_profile, cfg)
+    with pytest.raises(ValueError, match="M: integer required"):
+        fd_rates_mc(small_profile, cfg, 8, 0)
+    with pytest.raises(ValueError, match="M: integer required"):
+        run_drop(ScenarioParams(n_bs=3, n_ul_hd=2, n_dl_hd=2), M, -60.0, 0, trials=8)
 
 
 def test_fd_imperfect_dl_is_analytic(small_profile, small_config):

@@ -116,7 +116,7 @@ def test_every_source_feeds_an_output(small_profile, small_config, system, csi):
         sampler = _TrialSampler(p, cfg, csi == "imperfect", system == "tdd")
         assert [Q.shape[1] for Q, *_ in sampler.parts] == sizes
         L, S = p.L, sum(sizes)
-        eye = np.broadcast_to(np.eye(S), (1, L, S, S))
+        eye = np.tile(np.eye(S), (1, L, 1, 1))      # _assemble scales it in place
         out = sampler._assemble(eye[..., :sampler.S_u], eye[..., sampler.S_u:])
         part = np.repeat(np.arange(len(sizes)), sizes)      # each source's part
         used = np.zeros((L, S), bool)
@@ -145,8 +145,8 @@ def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, values, 
     drew 940,800 (drop) and 235,200 (paper) CN values with complex F."""
     counts, exp_counts = [], []
 
-    def counting_draw_cn(rng, shape):
-        x = draw_cn(rng, shape)
+    def counting_draw_cn(rng, shape, out=None):
+        x = draw_cn(rng, shape, out=out)
         counts.append(x.size)
         return x
 
@@ -157,8 +157,8 @@ def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, values, 
         def __getattr__(self, name):
             return getattr(self.rng, name)
 
-        def standard_exponential(self, size):
-            x = self.rng.standard_exponential(size)
+        def standard_exponential(self, size=None, out=None):
+            x = self.rng.standard_exponential(size, out=out)
             exp_counts.append(x.size)
             return x
 
