@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (HomogeneousConfig, LargeScaleProfile, PowerScalingSchedule,
-                     SystemConfig, expand_homogeneous)
+                     SystemConfig, _is_integer, expand_homogeneous)
 from .estimation import estimation_stats
 from .rates import (RateReport, _check_inputs, _check_mode,
                     dl_rates_fd_imperfect, overheads, per_cell_factors,
@@ -100,9 +100,12 @@ def homogeneous_rates(h: HomogeneousConfig, csi: str, M: int | None = None):
 
     These are the algebraically reduced forms of the Proposition bounds; the
     reduction identity is checked against prop1/prop2 in the test suite.
+    Like them it needs an integer M >= 3 (an O(1) check: curves bisect on M).
     """
     _check_mode(csi=csi)
     M = h.M if M is None else M
+    if not (_is_integer(M) and M >= 3):
+        raise ValueError(f"M: integer M >= 3 required, got {M!r}")
     L, K, beta = h.L, h.K, h.beta
     P_u, P_d, P_tr, kap, T, tau = h.P_u, h.P_d, h.P_tr, h.kappa, h.T, h.tau
     if csi == "perfect":
@@ -130,11 +133,9 @@ def homogeneous_rates(h: HomogeneousConfig, csi: str, M: int | None = None):
 def asymptotic_rates(profile: LargeScaleProfile, cfg: SystemConfig,
                      schedule: PowerScalingSchedule):
     """Large-antenna limit rates under the matching power-scaling law."""
-    L = profile.L
-    jj = np.arange(L)
+    jj = np.arange(profile.L)
     E_u, E_d, E_tr = schedule.E_u, schedule.E_d, schedule.E_tr
-    s2 = cfg.sigma2
-    s2_dl = cfg.sigma2_dl
+    s2, s2_dl = cfg.sigma2, cfg.sigma2_dl
     bu_own = profile.beta_u[jj, jj]           # (L, K_u)
     bd_own = profile.beta_d[jj, jj]           # (L, K_d)
     if schedule.exponent == "perfect_csi_1_over_M":

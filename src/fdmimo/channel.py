@@ -95,12 +95,8 @@ def _place_with_min_dist(rng, draw_one, others, min_dists, budget=100_000):
     """
     for _ in range(budget):
         p = draw_one()
-        ok = True
-        for pts, dmin in zip(others, min_dists):
-            if len(pts) and np.hypot(*(pts - p).T).min() < dmin:
-                ok = False
-                break
-        if ok:
+        if not any(len(pts) and np.hypot(*(pts - p).T).min() < dmin
+                   for pts, dmin in zip(others, min_dists)):
             return p
     raise TopologyError("minimum-distance constraints unsatisfiable within retry budget")
 

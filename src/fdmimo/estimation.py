@@ -43,8 +43,7 @@ class EstimationStats:
 
 def estimation_stats(profile: LargeScaleProfile, cfg: SystemConfig) -> EstimationStats:
     s2, P = cfg.sigma2, cfg.P_tr
-    L = profile.L
-    jj = np.arange(L)
+    jj = np.arange(profile.L)
 
     def stats(beta):  # beta: (L, L, K)
         lam = s2 + P * beta.sum(axis=1)

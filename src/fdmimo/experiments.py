@@ -19,7 +19,8 @@ import numpy as np
 from .bounds import antenna_reduction_curve, fd_gain, homogeneous_rates
 from .config import (HomogeneousConfig, PowerScalingSchedule, config_digest,
                      expand_homogeneous)
-from .rates import RateReport, fd_rates_mc, overheads, tdd_rates_mc
+from .rates import (RateReport, _check_config, fd_rates_mc, overheads,
+                    tdd_rates_mc)
 from .scenario import ScenarioParams, run_drop
 
 
@@ -83,20 +84,15 @@ def experiment_tightness(h: HomogeneousConfig, M_list, trials, seed) -> Experime
         cfg = h.system_config(M=M)
         for csi in ("perfect", "imperfect"):
             rep = fd_rates_mc(profile, cfg, trials, [seed, idx], csi=csi)
-            b_ul, b_dl = homogeneous_rates(h, csi, M=M)
-            o_ul, o_dl = overheads(cfg, "fd", csi)
-            mc_ul = float(rep.ul_se_per_cell.mean())
-            mc_dl = float(rep.dl_se_per_cell.mean())
-            se_ul = o_ul * float(np.sqrt((rep.ul_stderr ** 2).sum(axis=1)).mean())
-            se_dl = o_dl * float(np.sqrt((rep.dl_stderr ** 2).sum(axis=1)).mean())
+            sims = ((rep.ul_se_per_cell, rep.ul_stderr), (rep.dl_se_per_cell, rep.dl_stderr))
             # homogeneous_rates already carries the imperfect-CSI overhead
             # prefactor, and the perfect-CSI prefactor is 1.
-            rows.append({"M": M, "csi": csi, "link": "ul", "mc_se": mc_ul,
-                         "bound_se": b_ul, "mc_stderr": se_ul,
-                         "rel_gap": (mc_ul - b_ul) / mc_ul})
-            rows.append({"M": M, "csi": csi, "link": "dl", "mc_se": mc_dl,
-                         "bound_se": b_dl, "mc_stderr": se_dl,
-                         "rel_gap": (mc_dl - b_dl) / mc_dl})
+            for link, b, o, (se_cell, se) in zip(("ul", "dl"), homogeneous_rates(h, csi, M=M),
+                                                 overheads(cfg, "fd", csi), sims):
+                mc = float(se_cell.mean())
+                rows.append({"M": M, "csi": csi, "link": link, "mc_se": mc, "bound_se": b,
+                             "mc_stderr": o * float(np.sqrt((se ** 2).sum(axis=1)).mean()),
+                             "rel_gap": (mc - b) / mc})
     digest = config_digest({"h": h, "M_list": list(M_list), "trials": trials})
     return ExperimentResult("tightness", digest, seed, rows)
 
@@ -127,10 +123,7 @@ def experiment_power_scaling(h: HomogeneousConfig, M_list, csi, trials, seed,
     sched = reference_schedule(h, csi, m_ref)
     rows = []
     for idx, M in enumerate(M_list):
-        if scale:
-            P_u, P_d, P_tr = sched.powers_at(M)
-        else:
-            P_u, P_d, P_tr = h.P_u, h.P_d, h.P_tr
+        P_u, P_d, P_tr = sched.powers_at(M) if scale else (h.P_u, h.P_d, h.P_tr)
         hM = replace(h, M=M, P_u=P_u, P_d=P_d, P_tr=P_tr)
         cfg = hM.system_config()
         b_ul, b_dl = homogeneous_rates(hM, csi)
@@ -168,6 +161,8 @@ def _scenario_sweep(name, params: ScenarioParams, sweep, drops, seed, trials):
     """
     if drops < 1:
         raise ValueError(f"drops must be at least 1, got {drops}")
+    for M, kdb in sweep:        # every point before any drop runs
+        _check_config(params.system_config(M, kdb))
     rows, aggregates = [], []
     for M, kdb in sweep:
         fd_ul = fd_dl = tdd_ul = tdd_dl = 0.0
@@ -224,10 +219,9 @@ def experiment_rates(h: HomogeneousConfig, csi, trials, seed) -> ExperimentResul
     tdd = tdd_rates_mc(profile, cfg, csi, trials, [seed, 1])
     for rep in (fd, tdd):
         rows.extend(rep.rows())
-    g_ul, g_dl = fd_gain(fd, tdd)
+    # No gain stderr is computed yet: the 0.0 does not mean the gain is exact.
     aggregates = [{"system": "gain", "csi": csi, "cell": "", "user": "",
-                   "class": "ul", "rate": g_ul, "stderr": 0.0},
-                  {"system": "gain", "csi": csi, "cell": "", "user": "",
-                   "class": "dl", "rate": g_dl, "stderr": 0.0}]
+                   "class": link, "rate": g, "stderr": 0.0}
+                  for link, g in zip(("ul", "dl"), fd_gain(fd, tdd))]
     digest = config_digest({"h": h, "csi": csi, "trials": trials})
     return ExperimentResult("rates", digest, seed, rows, aggregates)

@@ -267,7 +267,9 @@ class _TrialSampler:
         """The batch dict from the unit sources' coordinates, (B, L, r, S):
         Tu the uplink ones', Td the downlink ones' (the same r when FD users
         tie them).  The channels are the channel sources' coordinates scaled
-        in place.  Without Td only Gu, W and Eps; without ``dl`` no Gd."""
+        in place.  Without Td only Gu, W and Eps; without ``dl`` no Gd.  With
+        estimation V views W for the users on shared pilot slots (all of V if
+        all are), and only the others' pilot sums are formed."""
         p = self.profile
         B, L, r = Tu.shape[:3]
         K_u, K_f, K_h = p.K_u, p.K_f, p.K_d - p.K_f
@@ -293,8 +295,10 @@ class _TrialSampler:
             out["Gd"] = Gd
         if self.mmse is not None:
             s = self.shared
-            V = cd[:, None, s:] * (Gd.sum(axis=3)[..., s:] + scale * Td[..., b:])
-            out["V"] = np.concatenate([out["W"][..., :s], V], axis=-1) if s else V
+            out["V"] = V = out["W"][..., :s]
+            if s < p.K_d:       # downlink users with pilot slots of their own
+                Vh = cd[:, None, s:] * (Gd[..., s:].sum(axis=3) + scale * Td[..., b:])
+                out["V"] = np.concatenate([V, Vh], axis=-1) if s else Vh
         return out
 
     def draw(self, rng, B):
@@ -483,11 +487,16 @@ def _control_means(profile, cfg, system, csi):
     return np.stack(ul, axis=-1), np.stack(dl, axis=-1)
 
 
-def _check_inputs(profile, cfg, closed_forms=False):
-    """Reject a config that fails validate or disagrees with the profile."""
+def _check_config(cfg, closed_forms=False):
+    """Reject a config that fails validate, naming every violation."""
     res = validate(cfg, closed_forms=closed_forms)
     if not res.ok:
         raise ValueError("invalid config: " + "; ".join(res.violations))
+
+
+def _check_inputs(profile, cfg, closed_forms=False):
+    """Reject a config that fails validate or disagrees with the profile."""
+    _check_config(cfg, closed_forms)
     for name in ("L", "K_f", "K_u", "K_d"):
         if getattr(cfg, name) != getattr(profile, name):
             raise ValueError(f"config and profile disagree on {name}: "
@@ -495,9 +504,9 @@ def _check_inputs(profile, cfg, closed_forms=False):
 
 
 def _simulate(draw, profile, cfg, system, csi, trials, seed):
-    """Per-user mean log2(1+SINR) over ``trials`` blocks from ``draw(rng, B)``
-    and its stderr, (L, K_u [+ K_d]): each cell's uplink users, then, if the
-    blocks hold Gd, its downlink users.
+    """Per-user mean log2(1+SINR) and its stderr over ``trials`` blocks from
+    ``draw(rng, B)``, each link reduced on its own with its own controls:
+    [(ul, ul_se)], (L, K_u), then (dl, dl_se), (L, K_d), if the blocks hold Gd.
 
     Each mean is a control-variate estimate Ybar - b (Xbar - mu): X are the
     kernels' per-trial controls and mu their exact means
@@ -508,24 +517,21 @@ def _simulate(draw, profile, cfg, system, csi, trials, seed):
     """
     coef = per_cell_factors(profile, cfg, csi)
     mu = _control_means(profile, cfg, system, csi)
-    p = mu[0].shape[-1]            # the uplink has the most controls
-    folds = None
+    folds = [None, None]                    # per link
     for t, done in enumerate(range(0, trials, _BATCH)):
         d = draw(trial_rng(seed, t), min(_BATCH, trials - done))
         kernels = (_batch_ul_logrates, _batch_dl_logrates)[:1 + ("Gd" in d)]
-        z = []
-        for kernel, m in zip(kernels, mu):
+        for i, (kernel, m) in enumerate(zip(kernels, mu)):
             y, x = kernel(d, profile, cfg, coef)
-            # Controls that are zero pad the downlink's to p; they get b = 0.
-            pad = np.zeros(x.shape[:-1] + (p - x.shape[-1],))
-            z.append(np.concatenate([x - m, pad, y[..., None]], axis=-1))
-        # Every batch starts at an even trial, since _BATCH is even.
-        folds = accumulate(folds, np.concatenate(z, axis=-2))
+            # Every batch starts at an even trial, since _BATCH is even.
+            folds[i] = accumulate(folds[i], np.concatenate([x - m, y[..., None]], axis=-1))
         del d      # its buffers go back to the pool before the next batch draws
-    return crossfit(folds)
+    return [crossfit(f) for f in folds if f is not None]
 
 
 def _mc_rates(profile, cfg, system, csi, trials, seed):
+    """Each link reduced on its own by :func:`_simulate`, except the
+    fd/imperfect downlink, :func:`dl_rates_fd_imperfect` (stderr 0)."""
     _check_mode(system, csi)
     _check_inputs(profile, cfg)
     if not _is_integer(trials):
@@ -535,11 +541,11 @@ def _mc_rates(profile, cfg, system, csi, trials, seed):
     analytic_dl = system == "fd" and csi == "imperfect"
     sampler = _TrialSampler(profile, cfg, csi == "imperfect", system == "tdd",
                             dl=not analytic_dl)
-    mean, se = _simulate(sampler.draw, profile, cfg, system, csi, trials, seed)
-    (ul, dl), (ul_se, dl_se) = (np.split(x, [profile.K_u], axis=1) for x in (mean, se))
+    links = _simulate(sampler.draw, profile, cfg, system, csi, trials, seed)
     if analytic_dl:
         dl = dl_rates_fd_imperfect(profile, cfg)
-        dl_se = np.zeros_like(dl)
+        links.append((dl, np.zeros_like(dl)))
+    (ul, ul_se), (dl, dl_se) = links
     o_ul, o_dl = overheads(cfg, system, csi)
     return RateReport(system=system, csi=csi, ul_rates=ul, dl_rates=dl,
                       ul_stderr=ul_se, dl_stderr=dl_se,

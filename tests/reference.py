@@ -432,9 +432,8 @@ def kernel_rates(draw, profile, cfg, system, csi, trials, seed):
     the full-duplex imperfect-CSI one included, so a sampler is checked on
     every vector the kernels read.  Returns (ul, ul_stderr, dl, dl_stderr).
     """
-    mean, se = _simulate(draw, profile, cfg, system, csi, trials, seed)
-    K_u = profile.K_u
-    return mean[:, :K_u], se[:, :K_u], mean[:, K_u:], se[:, K_u:]
+    (ul, ul_se), (dl, dl_se) = _simulate(draw, profile, cfg, system, csi, trials, seed)
+    return ul, ul_se, dl, dl_se
 
 
 def kernel_trials(draw, profile, cfg, csi, trials, seed):

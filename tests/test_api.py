@@ -1,7 +1,9 @@
 import importlib
 import importlib.util
+import json
 import pathlib
 import re
+import sys
 import types
 
 import fdmimo
@@ -58,3 +60,28 @@ def test_benchmark_trace_hooks_resolve():
     missing = [(mod, fn) for _, mod, fn, *_ in tracing.HOOKS
                if not callable(getattr(importlib.import_module(mod), fn, None))]
     assert len(tracing.HOOKS) >= 19 and missing == []
+
+
+def test_closed_forms_match_benchmark_reference():
+    """Every closed-forms benchmark entry still has its recorded input digest
+    and outputs (rtol 1e-9): a changed config field, drop-profile bit or
+    closed form shows here before a benchmark run reports it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["closed-forms"]["entries"]
+    entries = [workloads.cf_entry(fdmimo, kind, L, csi, i)
+               for kind, L, csi in workloads.CF_STRATA for i in range(workloads.CF_POOL)]
+    fails = []
+    for e in entries:
+        r = ref[e["key"]]
+        if e["digest"] != r["digest"]:
+            fails.append(f"{e['key']}: input differs from the recorded one")
+        else:
+            fails += workloads.cf_compare(workloads.cf_evaluate(fdmimo, e), r)
+    assert len(entries) == 21 and fails == []

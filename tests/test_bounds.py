@@ -164,6 +164,15 @@ def test_homogeneous_monotone_in_m():
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("M", [0, 2, 2.5])
+def test_homogeneous_rates_rejects_m(paper_homogeneous, M):
+    """Below 3 antennas, or a fractional count, the closed forms do not hold:
+    homogeneous_rates names M instead of returning a zero or negative rate."""
+    for csi in ("perfect", "imperfect"):
+        with pytest.raises(ValueError, match="M: integer M >= 3"):
+            homogeneous_rates(paper_homogeneous, csi, M=M)
+
+
 def test_asymptotic_rates_perfect_law():
     prof = unit_profile()
     sched = PowerScalingSchedule(E_u=4.0, E_d=4.0, E_tr=4.0,

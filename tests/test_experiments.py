@@ -9,7 +9,7 @@ from fdmimo import (ExperimentResult, HomogeneousConfig, ScenarioParams, emit,
                     experiment_rates, experiment_tightness,
                     experiment_tradeoff)
 from fdmimo.cli import build_parser, main
-from fdmimo.experiments import reference_schedule
+from fdmimo.experiments import reference_schedule, run_drop
 
 
 @pytest.fixture
@@ -242,3 +242,27 @@ def test_cli_scenario_fractional_antenna_count(tmp_path, capsys):
                "8", "--out", str(tmp_path / "g.csv")])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: invalid config: M: integer required")
+
+
+def test_cli_power_scaling_below_three_antennas(tmp_path, capsys):
+    """M = 2 in power-scaling exits 1 naming M instead of writing a downlink
+    gain of 0.0 from the closed forms."""
+    rc = main(["power-scaling", "--cells", "2", "--users", "2", "--m-list",
+               "2,16", "--trials", "8", "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: M: integer M >= 3")
+
+
+def test_cli_scenario_sweep_checks_every_point_first(tmp_path, capsys, monkeypatch):
+    """A bad M late in a sweep exits 1 naming M before any drop runs, instead
+    of after the drops of every point before it."""
+    calls = []
+    monkeypatch.setattr("fdmimo.experiments.run_drop",
+                        lambda *a, **kw: calls.append(a) or run_drop(*a, **kw))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"M_list": [20, 50, 20.5]}))
+    rc = main(["gain-vs-m", "--config", str(path), "--drops", "3",
+               "--out", str(tmp_path / "g.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: invalid config: M: integer required")
+    assert len(calls) == 0
