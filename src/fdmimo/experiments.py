@@ -19,8 +19,8 @@ import numpy as np
 from .bounds import antenna_reduction_curve, fd_gain, homogeneous_rates
 from .config import (HomogeneousConfig, PowerScalingSchedule, config_digest,
                      expand_homogeneous)
-from .rates import (RateReport, _check_config, fd_rates_mc, overheads,
-                    tdd_rates_mc)
+from .rates import (_CSI_MODES, RateReport, _check_config, fd_rates_mc,
+                    overheads, tdd_rates_mc)
 from .scenario import ScenarioParams, run_drop
 
 
@@ -79,15 +79,18 @@ def _sum_se(rep: RateReport):
 def experiment_tightness(h: HomogeneousConfig, M_list, trials, seed) -> ExperimentResult:
     """Monte Carlo ergodic rates against the closed-form lower bounds."""
     profile = expand_homogeneous(h)
+    cfgs = [h.system_config(M=M) for M in M_list]
+    for cfg in cfgs:            # every point checked before any runs
+        _check_config(cfg)
+    bounds = [[homogeneous_rates(h, csi, M=M) for csi in _CSI_MODES] for M in M_list]
     rows = []
-    for idx, M in enumerate(M_list):
-        cfg = h.system_config(M=M)
-        for csi in ("perfect", "imperfect"):
+    for idx, (M, cfg, bound) in enumerate(zip(M_list, cfgs, bounds)):
+        for csi, b_csi in zip(_CSI_MODES, bound):
             rep = fd_rates_mc(profile, cfg, trials, [seed, idx], csi=csi)
             sims = ((rep.ul_se_per_cell, rep.ul_stderr), (rep.dl_se_per_cell, rep.dl_stderr))
             # homogeneous_rates already carries the imperfect-CSI overhead
             # prefactor, and the perfect-CSI prefactor is 1.
-            for link, b, o, (se_cell, se) in zip(("ul", "dl"), homogeneous_rates(h, csi, M=M),
+            for link, b, o, (se_cell, se) in zip(("ul", "dl"), b_csi,
                                                  overheads(cfg, "fd", csi), sims):
                 mc = float(se_cell.mean())
                 rows.append({"M": M, "csi": csi, "link": link, "mc_se": mc, "bound_se": b,
@@ -121,14 +124,15 @@ def experiment_power_scaling(h: HomogeneousConfig, M_list, csi, trials, seed,
     """
     profile = expand_homogeneous(h)
     sched = reference_schedule(h, csi, m_ref)
-    rows = []
-    for idx, M in enumerate(M_list):
+    points = []
+    for M in M_list:            # every point checked before any runs
         P_u, P_d, P_tr = sched.powers_at(M) if scale else (h.P_u, h.P_d, h.P_tr)
         hM = replace(h, M=M, P_u=P_u, P_d=P_d, P_tr=P_tr)
-        cfg = hM.system_config()
-        b_ul, b_dl = homogeneous_rates(hM, csi)
-        tdd = tdd_rates_mc(profile, cfg, csi, trials, [seed, idx])
-        t_ul, t_dl = _sum_se(tdd)
+        points.append((M, homogeneous_rates(hM, csi), hM.system_config()))
+        _check_config(points[-1][2])
+    rows = []
+    for idx, (M, (b_ul, b_dl), cfg) in enumerate(points):
+        t_ul, t_dl = _sum_se(tdd_rates_mc(profile, cfg, csi, trials, [seed, idx]))
         rows.append({"M": M, "csi": csi, "scaled": scale,
                      "gain_ul": h.L * b_ul / t_ul, "gain_dl": h.L * b_dl / t_dl,
                      "fd_se_ul": b_ul, "fd_se_dl": b_dl,

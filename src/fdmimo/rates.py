@@ -9,56 +9,51 @@ channel realizations by batched SINR kernels.  The per-user loop forms of
 the SINRs and the M-vector channel model they start from are test oracles
 in ``tests/reference.py``.
 
-The Monte Carlo engine never draws an M-vector.  Every inner product the SINR
-kernels form pairs a vector at some BS j with one of BS j's span vectors: its
-combiners and the precoders not among them.  There are D = K_u + K_d - K_f of
-them, or K_u + K_d with TDD pilots, whose two slots give an FD user two
-observations.  They fall into parts that share no source: with no FD users
-the combiners, built from the uplink channels and pilot noises, are one part
-and the precoders another, and no kernel pairs an uplink vector with a
-downlink one; FD users make the span one part.  Inner products do not change
-when each vector of a part is replaced by its coordinates in an orthonormal
-basis of the part's span, a space of r = min(M, D) dimensions for the part's
-D, so the engine draws those coordinates with their exact joint law, part by
-part (:class:`_TrialSampler`):
+The Monte Carlo engine never draws an M-vector.  Each BS draws the inner
+products an SINR reads pilot group by pilot group (:class:`_TrialSampler`):
 
-* Every vector of a part at BS j is a fixed real combination of the part's S
-  independent unit sources, one per channel and pilot noise: the span is
-  Xi C for an M x S i.i.d. CN(0, 1) matrix Xi and an S x D coefficient matrix
-  C.  With C = Q R_C (QR), Xi Q is again i.i.d., and its QR factor R0 is the
-  complex Bartlett factor: r x D upper-trapezoidal, |R0[i, i]|^2 ~
-  Gamma(M - i, 1), CN(0, 1) above the diagonal (Odell & Feiveson, 1966).
-  The span's coordinates are R0 R_C, a Bartlett factor times the Cholesky
-  factor of the span's column covariance C^H C.
-* The sources' coordinates are R0 Q^T + Xi' (I - Q Q^T) with a fresh r x S
-  i.i.d. Xi': their conditional mean given the span plus a fresh draw minus
-  its own conditional mean given its own span (pathwise conditioning,
-  "Matheron's rule").  Every other vector follows from them.  A part of
-  which only the span is read draws only R0.
+* A pilot group is one pilot slot's sources: its L channels and its pilot
+  noise; with TDD pilots an FD user's two slots, which observe one set of
+  channels, form one group.  Its D <= 2 span vectors, the combiners and
+  precoders estimated from it, are Xi C for M x S i.i.d. CN(0, 1) sources
+  Xi and a real C = Q R_C (QR).  In an orthonormal basis of their
+  r = min(M, D) dimensions they are R0 R_C, R0 the complex Bartlett factor
+  (|R0[i, i]|^2 ~ Gamma(M - i), CN(0, 1) above the diagonal; Odell &
+  Feiveson, 1966), and the sources are R0 Q^T + Xi' (I - Q Q^T) for a fresh
+  r x S i.i.d. Xi' (pathwise conditioning).  So the span vectors' norms and
+  their inner products with the group's channels are exact; a channel's
+  squared norm adds its residual variance times Gamma(M - r).  With perfect
+  CSI a group is a user's own channel, its span vector: beta Gamma(M).
+* Every other inner product pairs a vector with a channel independent of
+  it, so it is a power: given w, |w^H g|^2 = |w|^2 beta Exp(1),
+  independently over channels (Hamdi, IEEE Trans. Commun. 58(2), 2010).
+  The uplink conditions on the combiner.  The downlink conditions on the
+  user's channel g, which its terms at one BS share: precoder i gives
+  |g|^2 sigma_i^2 Exp(1), sigma_i^2 its variance per antenna.
+* For a combiner w at its receiving end, a BS-BS channel H gives H^H w ~
+  CN(0, beta_b |w|^2 I), independent of the rest, so the uplink reads
+  |V_l^H z|^2 = sum_i lambda_i(V_l V_l^H) Exp(1) for BS l's precoders V_l
+  and an isotropic unit z.  They lie on different slots, so V_l's Gram is a
+  Bartlett factor's with columns scaled by sigma_i.  UE-UE channels are
+  read as powers, beta_I Exp(1) (0 at an FD user's own pair, cancelled).
 
-Different BSs see independent channels and noises, so each BS is drawn on its
-own, and a trial costs O(L^2 K^2) draws whatever M is.
+What one SINR reads at one BS is jointly exact or independent given the
+vector it conditions on, and BSs see independent channels, so every
+per-user rate has the law of the M-vector model.  The joint law across
+users is not kept: two users' powers against one channel or one precoder
+are independent, and the BS-BS Grams are drawn apart from the precoders.
+No reported mean reads it; the spread of a per-cell sum over seeds does.
+A trial costs O(L^2 K^2) draws whatever M is, and the kernels are
+arithmetic on a batch, whose keys say which terms exist.
 
-The M x M BS-BS matrices are never formed either: for a combining vector w
-fixed by the realization, such a matrix H gives H^H w with i.i.d.
-CN(0, beta_b |w|^2) entries independent of everything else, so the sampler
-draws an equivalent unit r-vector Z in the precoders' coordinates per BS
-pair and user, and the uplink kernel scales it.  UE-UE channels are read
-only as powers, |f|^2 ~ beta_I Exp(1), so those are drawn (0 for an FD
-user's own pair, which it cancels).  Per-user rate distributions are
-exactly those of the M-vector model.  The sampler makes every draw; the
-kernels are pure functions of a batch, whose keys say which terms exist,
-with one matmul per trial and BS for each set of inner products.
-
-The batch's large arrays (the sources' coordinates and their projection,
-the UE-UE powers, the BS-BS draws, and the kernels' inner products and their
-powers) are written with ``out=`` into a scratch pool of byte buffers
-(:func:`_scratch`), one per thread, kept across batches and calls, so they
-land in pages already mapped instead of freshly faulted ones.  A buffer is
-handed out again only when no live array views it, so a caller holding a
-batch never sees it overwritten.  The pool holds at most one buffer per
-array of the largest set a batch keeps alive at once, and every result is
-bit-identical to one computed in fresh arrays.
+The batch's large arrays (the sources' coordinates, the powers and the
+BS-BS Exp(1) draws) are written with ``out=`` into a scratch pool of byte
+buffers (:func:`_scratch`), one per thread, kept across batches and calls,
+so they land in pages already mapped instead of freshly faulted ones.  A
+buffer is handed out again only when no live array views it, so a caller
+holding a batch never sees it overwritten.  The pool holds at most one
+buffer per array of the largest set a batch keeps alive at once, and every
+result is bit-identical to one computed in fresh arrays.
 
 Each simulated rate is a control-variate estimate.  Besides its log-rate,
 a kernel returns per-trial controls, powers it forms anyway, whose means
@@ -209,188 +204,193 @@ def _scratch(shape, dtype=np.float64):
     return buf[:n].view(dtype).reshape(shape)
 
 
-class _TrialSampler:
-    """Batches of coherence blocks in each BS's own coordinates; the only
-    code here that draws random numbers.
+def _bartlett(rng, M, shape, D):
+    """A stack (*shape, r, D), r = min(M, D), of complex Bartlett factors:
+    the R of the QR of M x D i.i.d. CN(0, 1) matrices."""
+    r = min(M, D)
+    R, i = np.zeros((*shape, r, D), complex), np.arange(r)
+    R[..., i, i] = np.sqrt(rng.standard_gamma(M - i, size=(*shape, r)))
+    iu, ju = np.triu_indices(r, 1, D)
+    R[..., iu, ju] = draw_cn(rng, (*shape, iu.size))
+    return R
 
-    ``draw`` returns what the M-vector model would give, with every M-vector
-    replaced by its r = min(M, D) coordinates in an orthonormal basis of its
-    part of its BS's span, plus the combiners W and precoders V the CSI mode
-    calls for.  Each source seen at BS j is a physical random quantity some
-    output reads: the uplink channels (L * K_u, cell-major) and pilot noises,
-    then the HD downlink channels (L * (K_d - K_f)) and pilot noises (none
-    with perfect CSI).  An FD user's downlink channel is its uplink one at
-    every BS; with no FD users the uplink sources form one part and the
-    downlink ones another.  FD runs then draw the UE-UE powers F if ``dl``
-    (the downlink kernel runs), without the FD-pair reciprocity
-    F[l, k, j, n] = F[j, n, l, k] (no per-user rate depends on it), and last
-    the unit BS-BS draws Z.  Without ``dl`` a downlink part draws only V.
+
+def _cat(parts):
+    """The groups' arrays joined along their span-vector axis, 2."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+
+
+class _TrialSampler:
+    """Batches of coherence blocks as the norms, inner products and powers
+    the SINR kernels read; the only code here that draws random numbers.
+
+    With estimated CSI, ``groups`` stacks the pilot groups of each shape:
+    (channel scales (L, G, L), Q (L, G, S, D), R_C (L, G, D, D), channel
+    variances outside the span (L, G, L)).  ``iw`` and ``iv`` pick the
+    combiners and precoders from the groups' span vectors, group-major.  FD
+    runs draw the UE-UE powers F without the FD-pair reciprocity
+    F[l, k, j, n] = F[j, n, l, k] (no per-user rate reads it).
     """
 
     def __init__(self, profile, cfg, need_est, tdd, dl=True):
         self.profile, self.cfg, self.tdd, self.dl = profile, cfg, tdd, dl
         L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
+        jj, bu, bd = np.arange(L), profile.beta_u, profile.beta_d
         self.ue_gain = profile.beta_I.copy()    # each FD user cancels its own
         np.einsum("lklk->lk", self.ue_gain[:, :K_f, :, :K_f])[...] = 0.0
-        # FD users whose precoder is their combiner: all, unless TDD pilots
-        # estimate their two directions in separate slots.
-        self.shared = 0 if need_est and tdd else K_f
-        self.mmse = None
-        self.S_u, S = L * K_u, L * (K_u + K_d - K_f)
-        if need_est:
-            st = estimation_stats(profile, cfg)
-            jj = np.arange(L)
-            self.mmse = (cfg.P_tr * profile.beta_u[jj, jj] / st.lam_u,   # (L, K_u)
-                         cfg.P_tr * profile.beta_d[jj, jj] / st.lam_d,   # (L, K_d)
-                         math.sqrt(cfg.sigma2 / cfg.P_tr))
-            # Mean own gain of each downlink user, E[v^H g] = M c beta.
-            self.Emu = cfg.M * cfg.P_tr * profile.beta_d[jj, jj] ** 2 / st.lam_d
-            self.S_u += K_u
-            S += K_u + K_d - self.shared
-        # Assembling the identity gives each span vector's source coefficients.
-        eye = np.tile(np.eye(S), (1, L, 1, 1))
-        d = self._assemble(eye[..., :self.S_u], eye[..., self.S_u:])
-        # Each BS's combiners and the precoders not among them, (L, S, D).
-        coef = np.concatenate([d["W"], d["V"][..., self.shared:]], axis=-1)[0]
-        # Each part's first source and span vector, then the ends.
-        cuts = [(0, 0)] + [(self.S_u, K_u)] * (K_f == 0) + [coef.shape[1:]]
-        self.parts = []                    # (Q, Q^T C, r): (L, S_p, D_p), (L, D_p, D_p)
-        for (s0, c0), (s1, c1) in zip(cuts, cuts[1:]):
-            C = coef[:, s0:s1, c0:c1]
+        self.var_v = bd[jj, jj]                 # each precoder's, per antenna
+        self.est, self.groups = need_est, []
+        if not need_est:
+            return
+        st = estimation_stats(profile, cfg)
+        self.var_v = st.est_var_d
+        # Mean own gain of each downlink user, E[v^H g] = M c beta.
+        self.Emu = cfg.M * cfg.P_tr * bd[jj, jj] ** 2 / st.lam_d
+        # Each slot's channel gains (j, l, slot) and MMSE gain (j, slot): the
+        # uplink users', then the HD downlink users' (FD training: if dl).
+        h = slice(K_f, K_d if dl or tdd else K_f)
+        beta = np.concatenate([bu, bd[..., h]], axis=2)
+        c = cfg.P_tr * np.concatenate([bu[jj, jj] / st.lam_u,
+                                       bd[jj, jj, h] / st.lam_d[:, h]], axis=1)
+        kinds = [(beta, [c])]
+        self.iw, self.iv = slice(K_u), np.r_[:K_f, K_u:K_u + K_d - K_f]
+        if tdd:     # an FD user's two slots observe one set of channels: one group
+            cd = cfg.P_tr * bd[jj, jj, :K_f] / st.lam_d[:, :K_f]
+            kinds = [(beta[..., :K_f], [c[:, :K_f], cd]), (beta[..., K_f:], [c[:, K_f:]])]
+            self.iw = np.r_[:2 * K_f:2, 2 * K_f:K_f + K_u]
+            self.iv = np.r_[1:2 * K_f:2, K_f + K_u:K_u + K_d]
+        for beta, cs in kinds:
+            sb = np.sqrt(beta).swapaxes(1, 2)               # (j, group, l)
+            # Each span vector, c times its slot's observation, on the unit
+            # sources: the group's L channels, then its pilot noises.
+            C = np.zeros((*sb.shape[:2], L + len(cs), len(cs)))
+            for d, c in enumerate(cs):
+                C[:, :, :L, d] = c[..., None] * sb
+                C[:, :, L + d, d] = c * math.sqrt(cfg.sigma2 / cfg.P_tr)
             # Unit columns span the same space and keep QR accurate when gains
             # differ by orders of magnitude.
-            nrm = np.linalg.norm(C, axis=1, keepdims=True)
+            nrm = np.linalg.norm(C, axis=2, keepdims=True)
             Q, R = np.linalg.qr(C / nrm)
-            self.parts.append((Q, R * nrm, min(cfg.M, Q.shape[2])))
+            res = sb ** 2 * (1 - (Q[:, :, :L] ** 2).sum(axis=3))
+            self.groups.append((sb, Q, R * nrm, res))
 
-    def _assemble(self, Tu, Td=None):
-        """The batch dict from the unit sources' coordinates, (B, L, r, S):
-        Tu the uplink ones', Td the downlink ones' (the same r when FD users
-        tie them).  The channels are the channel sources' coordinates scaled
-        in place.  Without Td only Gu, W and Eps; without ``dl`` no Gd.  With
-        estimation V views W for the users on shared pilot slots (all of V if
-        all are), and only the others' pilot sums are formed."""
-        p = self.profile
-        B, L, r = Tu.shape[:3]
-        K_u, K_f, K_h = p.K_u, p.K_f, p.K_d - p.K_f
-        a, b = L * K_u, L * K_h
-        Gu = Tu[..., :a].reshape(B, L, r, L, K_u)
-        Gu *= np.sqrt(p.beta_u)[:, None]
-        out = {"Gu": Gu, "W": np.einsum("bjrjk->bjrk", Gu)}     # Gu[:, j, :, j]
-        if self.mmse is not None:
-            # Pilot observations: slot n < K_u carries uplink user n; each
-            # downlink user without a shared slot has one of the later slots.
-            cu, cd, scale = self.mmse
-            out["W"] = cu[:, None, :] * (Gu.sum(axis=3) + scale * Tu[..., a:])
-            out["Eps"] = np.einsum("bjrjk->bjrk", Gu) - out["W"]
-        if Td is None:
-            return out
-        Gd = Td[..., :b].reshape(B, L, Td.shape[2], L, K_h)
-        Gd *= np.sqrt(p.beta_d[..., K_f:])[:, None]
-        if K_f:     # an FD user's downlink channel is its uplink one
-            Gd = Gu[..., :K_f] if not K_h else np.concatenate(
-                [Gu[..., :K_f], Gd], axis=-1, out=_scratch((*Gd.shape[:-1], p.K_d), Gd.dtype))
-        out["V"] = np.einsum("bjrjk->bjrk", Gd)
+    def _spans(self, rng, B):
+        """Combiner norms W2 (B, j, n) and inner products Wg (B, j, n, l) with
+        the slot's channels; with ``dl`` precoder k's Vg and the norms G2 of
+        its slot's channels, (B, l, k, j).  With perfect CSI Wg, Vg are None."""
+        p, M, jj = self.profile, self.cfg.M, np.arange(self.profile.L)
+        L, K_u, K_d, K_f = p.L, p.K_u, p.K_d, p.K_f
+        Wg = Vg = G2 = None
+        if not self.est:
+            W2 = rng.standard_gamma(M, size=(B, L, K_u)) * p.beta_u[jj, jj]
+            if self.dl:
+                G2 = rng.standard_gamma(M, size=(B, L, L, K_d))      # (B, j, l, k)
+                G2 *= p.beta_d
+                G2[:, jj, jj, :K_f] = W2[..., :K_f]     # an FD user's is its uplink one
+                G2 = G2.transpose(0, 2, 3, 1)
+            return W2, Wg, Vg, G2
+        nrm2, prod, norms = [], [], []
+        for sb, Q, RC, res in self.groups:
+            G, S, D = Q.shape[1:]
+            R0 = _bartlett(rng, M, (B, L, G), D)
+            r = R0.shape[3]
+            X = draw_cn(rng, (B, L, G, r, S), out=_scratch((B, L, G, r, S, 2)))  # Xi'
+            # The sources' coordinates R0 Q^T + Xi' (I - Q Q^T), in Xi''s
+            # place, then the channels' scaled in place.
+            X += np.matmul(R0 - X @ Q, Q.swapaxes(2, 3), out=_scratch(X.shape, complex))
+            chan = X[..., :L]
+            chan *= sb[:, :, None]
+            Y = R0 @ RC                                 # the span vectors'
+            nrm2.append((np.abs(Y) ** 2).sum(axis=3).reshape(B, L, G * D))
+            prod.append((Y.conj().swapaxes(3, 4) @ chan).reshape(B, L, G * D, L))
+            if self.dl:         # |g|^2: the span's part, then the rest
+                g2 = rng.standard_gamma(M - r, size=(B, L, G, L))
+                g2 *= res
+                g2 += (np.abs(chan) ** 2).sum(axis=3)
+                norms.append(np.repeat(g2, D, axis=2))
+            del X, chan
+        prod = _cat(prod)
+        W2, Wg = _cat(nrm2)[..., self.iw], prod[:, :, self.iw]
         if self.dl:
-            out["Gd"] = Gd
-        if self.mmse is not None:
-            s = self.shared
-            out["V"] = V = out["W"][..., :s]
-            if s < p.K_d:       # downlink users with pilot slots of their own
-                Vh = cd[:, None, s:] * (Gd[..., s:].sum(axis=3) + scale * Td[..., b:])
-                out["V"] = np.concatenate([V, Vh], axis=-1) if s else Vh
-        return out
+            Vg = prod[:, :, self.iv].transpose(0, 3, 2, 1)
+            G2 = _cat(norms)[:, :, self.iv].transpose(0, 3, 2, 1)
+        return W2, Wg, Vg, G2
 
     def draw(self, rng, B):
-        """A batch of B coherence blocks, each in its part's r: Gu, Gd
-        (B, j, r, l, k), BS j's view of cell l's user k, and W, V (B, j, r, k);
-        with estimation Eps (W's error) and Emu (mean own downlink gain,
-        (L, K_d)); in FD runs the UE-UE powers F (B, l, k, j, n), user n of
-        cell j at user k of cell l, and the unit BS-BS r-vectors Z
-        (B, l, m, n, r) in V's coordinates, from BS l to its m-th other BS,
-        for user n's combiner there.  Without ``dl`` no Gd or F.  The large
-        arrays live in the thread's scratch pool, which leaves them alone
-        while the caller holds them."""
+        """A batch of B blocks: W2 = |w|^2 (B, j, n) of user n's combiner at
+        BS j, Pu = |w^H g|^2 (B, j, n, l, k) for user k of cell l, 0 at the
+        own one, and with estimation Pe = |w^H eps|^2 of w's error.  With
+        ``dl``, Pd = |v^H g|^2 (B, l, k, j, i) of BS j's precoder i at user k
+        of cell l, 0 at the own beam, own = its v^H g (B, l, k), and with
+        estimation Emu (its mean, (L, K_d)).  FD runs add the UE-UE powers F
+        (B, l, k, j, n) if ``dl``, and Pb = |V_l^H z|^2 (B, l, m, n) of BS
+        l's precoders and a unit isotropic z for user n of its m-th other BS.
+        The large arrays live in the thread's scratch pool, which leaves them
+        alone while the caller holds them."""
         p, M = self.profile, self.cfg.M
-        T = []
-        for i, (Q, RC, r) in enumerate(self.parts):
-            L, S, D = Q.shape
-            R0, idx = np.triu(draw_cn(rng, (B, L, r, D)), 1), np.arange(r)
-            R0[..., idx, idx] = np.sqrt(rng.gamma(M - idx, size=(B, L, r)))
-            if i and not self.dl:       # the precoders' own part: only V is read
-                T.append(R0 @ RC)                        # the span, R0 Q^T C
-                continue
-            X = draw_cn(rng, (B, L, r, S), out=_scratch((B, L, r, S, 2)))    # Xi'
-            # R0 Q^T + Xi' (I - Q Q^T), in Xi''s place
-            X += np.matmul(R0 - X @ Q, Q.swapaxes(1, 2), out=_scratch(X.shape, complex))
-            T.append(X)
-        if len(T) == 1:
-            out = self._assemble(*np.split(T[0], [self.S_u], axis=-1))
-        else:
-            out = self._assemble(*T) if self.dl else dict(self._assemble(T[0]), V=T[1])
-        del T, R0, X     # before the FD draws, which would raise the peak memory
-        if self.mmse is not None:
-            out["Emu"] = self.Emu
-        if not self.tdd:
-            if self.dl:
-                F = rng.standard_exponential(out=_scratch((B, *self.ue_gain.shape)))
+        L, K_u, K_d = p.L, p.K_u, p.K_d
+        est, out = self.est, {}
+        if not self.tdd:    # V_l's Gram eigenvalues weigh z's Exp(1) powers
+            R = _bartlett(rng, M, (B, L), K_d)
+            R *= np.sqrt(self.var_v)[:, None]
+            lam = np.linalg.eigvalsh(R @ R.conj().swapaxes(2, 3))
+            E = rng.standard_exponential(out=_scratch((B, L, (L - 1) * K_u, lam.shape[2])))
+            out["Pb"] = (E @ lam[..., None]).reshape(B, L, L - 1, K_u)
+            del R, E    # before the groups' arrays are drawn
+        W2, Wg, Vg, G2 = self._spans(rng, B)
+        out["W2"] = W2
+        if est:
+            out["Pe"] = np.abs(np.einsum("bjnj->bjn", Wg) - W2) ** 2
+        if self.dl:
+            out["own"] = np.einsum("blkl->blk", Vg if est else G2)
+            if est:
+                out["Emu"] = self.Emu
+        # Given w, each channel outside its group gives |w|^2 beta Exp(1).
+        out["Pu"] = Pu = rng.standard_exponential(out=_scratch((B, L, K_u, L, K_u)))
+        Pu *= W2[..., None, None]
+        Pu *= p.beta_u[:, None]
+        if est:
+            np.einsum("bjnln->bjnl", Pu)[...] = np.abs(Wg) ** 2
+        np.einsum("bjnjn->bjn", Pu)[...] = 0.0
+        if self.dl:     # given g, each precoder outside its group gives |g|^2 var Exp(1)
+            out["Pd"] = Pd = rng.standard_exponential(out=_scratch((B, L, K_d, L, K_d)))
+            Pd *= G2[..., None]
+            Pd *= self.var_v
+            if est:
+                np.einsum("blkjk->blkj", Pd)[...] = np.abs(Vg) ** 2
+            np.einsum("blklk->blk", Pd)[...] = 0.0
+            if not self.tdd:
+                out["F"] = F = rng.standard_exponential(out=_scratch((B, *self.ue_gain.shape)))
                 F *= self.ue_gain
-                out["F"] = F
-            shape = (B, L, L - 1, p.K_u, out["V"].shape[2])
-            out["Z"] = draw_cn(rng, shape, out=_scratch((*shape, 2)))
         return out
-
-
-def _power(A):
-    """|A|^2 of a pooled complex array, in a pooled real one; A's buffer is
-    free again once the caller drops its own references."""
-    P = np.abs(A, out=_scratch(A.shape))
-    P *= P
-    return P
 
 
 def _batch_ul_logrates(d, profile, cfg, coef):
     """log2(1+SINR) for every uplink user in a batch, (B, L, K_u), and the
     user's controls, (B, L, K_u, p), whose means :func:`_control_means` gives.
 
-    MRC with the combiners W against every uplink user's channel, one
-    matmul per trial and BS.  Eps adds the estimation error, and Z the
-    full-duplex terms: the other BSs' downlink through the BS-BS channels,
-    again one matmul per trial and BS, and the residual self-interference.
-    The controls are log|w|^2 and the other users' power over |w|^2, then
-    with Eps the error power over |w|^2, and with Z the BS-BS power.
-    ``coef`` is :func:`per_cell_factors` for the batch's CSI mode.
+    MRC: the combiner norm W2 against the other users' powers Pu, Pe's
+    estimation error, and with Pb the other BSs' downlink through the BS-BS
+    channels and the residual self-interference.  The controls are log|w|^2,
+    the other users' power and the error power over |w|^2, and the BS-BS
+    power.  ``coef`` is :func:`per_cell_factors` for the batch's CSI mode.
     """
-    W = d["W"]                                                  # (B, j, r, n)
-    B, L, r, K_u = W.shape
-    nrm2 = (np.abs(W) ** 2).sum(axis=2)                         # (B, j, n)
-    Wc = W.conj()
-    P = _power(np.matmul(Wc.swapaxes(2, 3), d["Gu"].reshape(B, L, r, L * K_u),
-                         out=_scratch((B, L, K_u, L * K_u), complex)))
-    own = np.einsum("bjnjn->bjn", P.reshape(B, L, K_u, L, K_u))   # P: (B, j, n, (l, k))
-    inter = P.sum(axis=3) - own
-    del P, own
+    nrm2 = d["W2"]                                              # (B, j, n)
+    B, L, K_u = nrm2.shape
+    inter = d["Pu"].sum(axis=(3, 4))
     denom = cfg.P_u * inter
     noise = cfg.sigma2
     ctrl = [np.log(nrm2), inter / nrm2]
-    if "Eps" in d:
-        Wc *= d["Eps"]
-        err = np.abs(Wc.sum(axis=2)) ** 2
-        denom = denom + cfg.P_u * err
-        ctrl.append(err / nrm2)
-    del Wc
-    if "Z" in d:
-        # Z[:, l, m, n] is H^H w / |w| for the BS-BS channel H from BS l to
-        # its m-th other BS j and user n's combiner w there, in BS l's
-        # coordinates; a BS has no BS-BS term with itself.
-        V = d["V"]
-        ZV = np.matmul(d["Z"].reshape(B, L, (L - 1) * K_u, V.shape[2]), V,
-                       out=_scratch((B, L, (L - 1) * K_u, V.shape[3]), complex))
-        S = _power(ZV).sum(axis=3).reshape(B, L * (L - 1), K_u)     # ZV: (B, l, (m, n), i)
-        del ZV
+    if "Pe" in d:
+        denom = denom + cfg.P_u * d["Pe"]
+        ctrl.append(d["Pe"] / nrm2)
+    if "Pb" in d:
+        # Pb[:, l, m, n] is |V_l^H H^H w|^2 / |w|^2 over beta_b for the BS-BS
+        # channel H from BS l to its m-th other BS j and user n's combiner w
+        # there; a BS has no BS-BS term with itself.
         l, j = np.nonzero(1 - np.eye(L))                 # (l, m) pairs, l-major
         to_rx = np.eye(L)[:, j] * (coef[l] * profile.beta_b[j, l])     # (j, (l, m))
-        bsbs = to_rx @ S                                                # (B, j, n)
+        bsbs = to_rx @ d["Pb"].reshape(B, L * (L - 1), K_u)            # (B, j, n)
         denom = denom + nrm2 * bsbs
         noise = noise + cfg.kappa * cfg.P_d * profile.beta_b.diagonal()[:, None]
         ctrl.append(bsbs)
@@ -402,24 +402,19 @@ def _batch_dl_logrates(d, profile, cfg, coef):
     """log2(1+SINR) for every downlink user in a batch, (B, L, K_d), and the
     user's controls, (B, L, K_d, p), whose means :func:`_control_means` gives.
 
-    Conjugate beamforming with the precoders V, one matmul per trial and BS;
-    the UE-UE powers F add the full-duplex UE-UE interference, and each FD
-    user keeps the residual kappa P_u beta_I of its own.  With Emu
+    Conjugate beamforming: the own gain against every other beam's power
+    Pd, weighted by its BS's ``coef`` (:func:`per_cell_factors`), the UE-UE
+    powers F and each FD user's residual kappa P_u beta_I.  With Emu
     (estimated CSI) the user decodes against the mean of its own gain; the
     SINR denominator then has the mean of :func:`dl_rates_fd_imperfect`, so
     by Jensen this simulates a rate above that bound, which
     :func:`fd_rates_mc` reports for fd/imperfect.  The controls are
     log|own gain|^2 without Emu, then D, the SINR denominator less noise.
-    ``coef`` is :func:`per_cell_factors` for the batch's CSI mode.
     """
-    V = d["V"]                                                  # (B, j, r, i)
-    B, L, r, K_d = V.shape
-    A = np.matmul(V.conj().swapaxes(2, 3), d["Gd"].reshape(B, L, r, L * K_d),
-                  out=_scratch((B, L, K_d, L * K_d), complex))      # (B, j, i, (l, k))
-    own = np.einsum("blklk->blk", A.reshape(B, L, K_d, L, K_d))
-    own2 = np.abs(own) ** 2
+    own = d["own"]                                              # (B, l, k)
+    B, L, K_d = own.shape
     c = coef[:, None]
-    D = (c * _power(A).sum(axis=2)).sum(axis=1).reshape(B, L, K_d) - c * own2
+    D = d["Pd"].reshape(B, L, K_d, L * K_d) @ np.repeat(coef, K_d)    # Pd: (B, l, k, j, i)
     if "F" in d:
         K_f = profile.K_f
         D = D + cfg.P_u * d["F"].sum(axis=(3, 4))
@@ -430,6 +425,7 @@ def _batch_dl_logrates(d, profile, cfg, coef):
         sinr = c * d["Emu"] ** 2 / (D + cfg.sigma2_dl)
         ctrl = [D]
     else:
+        own2 = np.abs(own) ** 2
         sinr = c * own2 / (D + cfg.sigma2_dl)
         ctrl = [np.log(own2), D]
     return np.log2(1.0 + sinr), np.stack(ctrl, axis=-1)
@@ -506,7 +502,7 @@ def _check_inputs(profile, cfg, closed_forms=False):
 def _simulate(draw, profile, cfg, system, csi, trials, seed):
     """Per-user mean log2(1+SINR) and its stderr over ``trials`` blocks from
     ``draw(rng, B)``, each link reduced on its own with its own controls:
-    [(ul, ul_se)], (L, K_u), then (dl, dl_se), (L, K_d), if the blocks hold Gd.
+    [(ul, ul_se)], (L, K_u), then (dl, dl_se), (L, K_d), if the blocks hold Pd.
 
     Each mean is a control-variate estimate Ybar - b (Xbar - mu): X are the
     kernels' per-trial controls and mu their exact means
@@ -520,7 +516,7 @@ def _simulate(draw, profile, cfg, system, csi, trials, seed):
     folds = [None, None]                    # per link
     for t, done in enumerate(range(0, trials, _BATCH)):
         d = draw(trial_rng(seed, t), min(_BATCH, trials - done))
-        kernels = (_batch_ul_logrates, _batch_dl_logrates)[:1 + ("Gd" in d)]
+        kernels = (_batch_ul_logrates, _batch_dl_logrates)[:1 + ("Pd" in d)]
         for i, (kernel, m) in enumerate(zip(kernels, mu)):
             y, x = kernel(d, profile, cfg, coef)
             # Every batch starts at an even trial, since _BATCH is even.

@@ -11,12 +11,14 @@ reduced or closed array form; the tests check the two against each other.
   ``wishart_inverse_moments`` the inverse-moment identities behind them.
 * ``link_gains_loop`` is a drop's pathloss-and-shadowing gain matrix, one
   link at a time.
-* ``vector_draw_trials`` is the M-vector batch sampler, and ``kernel_rates``
-  a Monte Carlo loop that runs any sampler through the library's SINR
-  kernels; ``kernel_trials`` returns the kernels' per-trial values for
-  plain averages, without control variates.  The library's sampler draws
-  the same quantities in each BS's own r-dimensional coordinates; the two
-  must give the same rates in distribution.
+* ``vector_draw_trials`` is the M-vector batch sampler, ``vector_batch``
+  the batch keys it computes exactly from its M-vectors, and
+  ``kernel_rates`` a Monte Carlo loop that runs any sampler through the
+  library's SINR kernels; ``kernel_trials`` returns the kernels' per-trial
+  values for plain averages, without control variates.  The library's
+  sampler draws the same keys pilot group by pilot group, and every other
+  inner product as a power; the two must give the same per-user rates in
+  distribution.
 """
 
 from __future__ import annotations
@@ -389,12 +391,40 @@ def asymptotic_rates_loop(profile: LargeScaleProfile, cfg: SystemConfig,
 # Batched M-vector sampler
 # ---------------------------------------------------------------------------
 
+def vector_batch(Gu, W, Gd=None, V=None, Eps=None, F=None, Z=None, Emu=None):
+    """The library sampler's batch keys, computed exactly from M-vectors:
+    channels Gu, Gd (B, j, M, l, k) seen at BS j, combiners W and precoders
+    V (B, j, M, k), W's estimation error Eps, the UE-UE powers F, the unit
+    BS-BS M-vectors Z (B, l, m, n, M) and the mean own gains Emu.  The keys
+    of the terms that are absent are left out."""
+    W2 = (np.abs(W) ** 2).sum(axis=2)
+    Pu = np.abs(np.einsum("bjmn,bjmlk->bjnlk", W.conj(), Gu)) ** 2
+    np.einsum("bjnjn->bjn", Pu)[...] = 0.0
+    out = {"W2": W2, "Pu": Pu}
+    if Eps is not None:
+        out["Pe"] = np.abs(np.einsum("bjmn,bjmn->bjn", W.conj(), Eps)) ** 2
+    if Gd is not None:
+        A = np.einsum("bjmi,bjmlk->blkji", V.conj(), Gd)
+        Pd = np.abs(A) ** 2
+        np.einsum("blklk->blk", Pd)[...] = 0.0
+        out.update(Pd=Pd, own=np.einsum("blklk->blk", A).copy())
+    if F is not None:
+        out["F"] = F
+    if Z is not None:
+        B, L, _, K_u, M = Z.shape
+        out["Pb"] = (np.abs(Z.reshape(B, L, -1, M) @ V) ** 2).sum(axis=3).reshape(
+            B, L, L - 1, K_u)
+    if Emu is not None:
+        out["Emu"] = Emu
+    return out
+
+
 def vector_draw_trials(profile, cfg, rng, B, need_est, tdd):
-    """Draw a batch of B coherence blocks (and estimates when requested),
-    with the keys and layout of the library sampler's batches and M for r:
-    channels (B, j, M, l, k) seen at BS j, and in FD runs the UE-UE powers
-    |F|^2 of complex channels F, each FD user's own pair zeroed, and the
-    BS-BS draws Z as M-vectors (B, l, m, n, M)."""
+    """Draw a batch of B coherence blocks (and estimates when requested) as
+    M-vectors, and return :func:`vector_batch`'s keys of them: those of the
+    library sampler's batches, with the downlink and, in FD runs, the UE-UE
+    powers |F|^2 of complex channels F (each FD user's own pair zeroed) and
+    the BS-BS terms."""
     L, K_u, K_d, K_f, M = profile.L, profile.K_u, profile.K_d, profile.K_f, cfg.M
     Gu = draw_cn(rng, (B, L, M, L, K_u)) * np.sqrt(profile.beta_u[:, None])
     Gd = draw_cn(rng, (B, L, M, L, K_d)) * np.sqrt(profile.beta_d[:, None])
@@ -404,24 +434,23 @@ def vector_draw_trials(profile, cfg, rng, B, need_est, tdd):
     ll, kk = np.ix_(jj, np.arange(K_f))
     F[:, ll, kk, ll, kk] = 0.0             # cancelled by the FD user itself
     own_u, own_d = (np.stack([G[:, j, :, j] for j in range(L)], axis=1) for G in (Gu, Gd))
-    out = {"Gu": Gu, "Gd": Gd, "W": own_u, "V": own_d}
+    W, V, Eps, Emu = own_u, own_d, None, None
     if need_est:
         st = estimation_stats(profile, cfg)
         cu = (cfg.P_tr * profile.beta_u[jj, jj] / st.lam_u)[None, :, None, :]  # (1, L, 1, K_u)
         cd = (cfg.P_tr * profile.beta_d[jj, jj] / st.lam_d)[None, :, None, :]
         scale = math.sqrt(cfg.sigma2 / cfg.P_tr)
         Yu = Gu.sum(axis=3) + scale * draw_cn(rng, (B, L, M, K_u))
-        Ghu = cu * Yu
+        W = cu * Yu
         Yd = Gd.sum(axis=3) + scale * draw_cn(rng, (B, L, M, K_d))
-        Ghd = cd * Yd
+        V = cd * Yd
         if not tdd:
             # Full-duplex training: one shared pilot per FD user.
-            Ghd[..., :K_f] = Ghu[..., :K_f]
-        out.update(W=Ghu, V=Ghd, Eps=own_u - Ghu,
-                   Emu=M * cfg.P_tr * profile.beta_d[jj, jj] ** 2 / st.lam_d)
-    if not tdd:
-        out.update(F=F, Z=draw_cn(rng, (B, L, L - 1, K_u, M)))
-    return out
+            V[..., :K_f] = W[..., :K_f]
+        Eps, Emu = own_u - W, M * cfg.P_tr * profile.beta_d[jj, jj] ** 2 / st.lam_d
+    if tdd:
+        return vector_batch(Gu, W, Gd, V, Eps, Emu=Emu)
+    return vector_batch(Gu, W, Gd, V, Eps, F, draw_cn(rng, (B, L, L - 1, K_u, M)), Emu)
 
 
 def kernel_rates(draw, profile, cfg, system, csi, trials, seed):

@@ -266,3 +266,20 @@ def test_cli_scenario_sweep_checks_every_point_first(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: invalid config: M: integer required")
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("command,m_list", [("tightness", "300,2"),
+                                            ("power-scaling", "16,2")])
+def test_cli_homogeneous_sweeps_check_every_point_first(tmp_path, capsys,
+                                                        monkeypatch, command, m_list):
+    """A bad last M in tightness or power-scaling exits 1 naming M before
+    any Monte Carlo runs, instead of after every point before it."""
+    calls = []
+    for name in ("fd_rates_mc", "tdd_rates_mc"):
+        monkeypatch.setattr(f"fdmimo.experiments.{name}",
+                            lambda *a, **kw: calls.append(a))
+    rc = main([command, "--m-list", m_list, "--trials", "64",
+               "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: M: integer M >= 3")
+    assert len(calls) == 0

@@ -16,28 +16,25 @@ from fdmimo.scenario import ScenarioParams, run_drop
 
 from conftest import in_fresh_thread, pool_bytes, random_profile
 from reference import (dl_sinr_fd_perfect, estimate_all, realize_channels,
-                       ul_sinr_fd_imperfect, ul_sinr_fd_perfect)
+                       ul_sinr_fd_imperfect, ul_sinr_fd_perfect, vector_batch)
 
 
 def as_batch(real, est=None, bs_bs=False):
-    """One realization as a batch of one, in the sampler's layout: channels
-    (1, j, M, l, k), perfect CSI or the estimates ``est`` as combiners and
-    precoders, and UE-UE powers |F|^2 without each FD user's own pair.  With
-    ``bs_bs`` it also holds unit BS-BS draws, and with them the uplink's
-    full-duplex terms."""
+    """One realization as a batch of one, with the sampler's keys
+    (:func:`reference.vector_batch`): perfect CSI or the estimates ``est``
+    as combiners and precoders, and UE-UE powers |F|^2 without each FD
+    user's own pair.  With ``bs_bs`` it also holds BS-BS powers of unit
+    draws, and with them the uplink's full-duplex terms."""
     L, _, M, K_u = real.G_u.shape
     jj, ll, kk = np.arange(L), *np.ix_(np.arange(L), np.arange(real.K_f))
     F = np.abs(real.F) ** 2
     F[ll, kk, ll, kk] = 0.0
-    d = {"Gu": np.moveaxis(real.G_u, 2, 1)[None], "F": F[None],
-         "Gd": np.moveaxis(real.G_d, 2, 1)[None],
-         "W": real.G_u[None, jj, jj], "V": real.G_d[None, jj, jj]}
+    W, V, Eps = real.G_u[None, jj, jj], real.G_d[None, jj, jj], None
     if est is not None:
-        d.update(W=est.g_hat_u[None], V=est.g_hat_d[None],
-                 Eps=real.G_u[None, jj, jj] - est.g_hat_u[None])
-    if bs_bs:
-        d["Z"] = draw_cn(np.random.default_rng(0), (1, L, L - 1, K_u, M))
-    return d
+        W, V, Eps = est.g_hat_u[None], est.g_hat_d[None], W - est.g_hat_u[None]
+    Z = draw_cn(np.random.default_rng(0), (1, L, L - 1, K_u, M)) if bs_bs else None
+    return vector_batch(np.moveaxis(real.G_u, 2, 1)[None], W,
+                        np.moveaxis(real.G_d, 2, 1)[None], V, Eps, F[None], Z)
 
 
 def vanishing_bs_bs(profile):
@@ -167,9 +164,10 @@ def test_op_memory_peak(paper_homogeneous, csi):
     M = 300 allocates at most 8.0 MB at its peak, as traced by tracemalloc:
     the per-op working set that sets the benchmark's peak resident memory.
     The call runs from an empty scratch pool, so the pool's buffers count.
-    Measured peaks: 5.97 MB perfect and 5.68 MB estimated CSI (with fresh
-    arrays per batch 6.68 and 6.12 MB; before the batched-matmul layout and
-    UE-UE powers 7.63 and 7.55 MB)."""
+    Measured peaks: 2.36 MB perfect and 1.89 MB estimated CSI with pilot
+    groups and powers (5.91 and 5.50 MB drawing each BS's whole span; with
+    fresh arrays per batch 6.68 and 6.12 MB; before the batched-matmul
+    layout and UE-UE powers 7.63 and 7.55 MB)."""
     prof = expand_homogeneous(paper_homogeneous)
     cfg = paper_homogeneous.system_config(M=300)
     fd_rates_mc(prof, cfg, 64, 0, csi=csi)
@@ -180,9 +178,10 @@ def test_op_memory_peak(paper_homogeneous, csi):
 @pytest.mark.parametrize("csi", ["perfect", "imperfect"])
 def test_op_memory_steady_state(paper_homogeneous, csi):
     """A warm repeat of that call writes its batch into the pool: it adds no
-    pool bytes and allocates under 0.8 MB (traced; measured 0.56 MB perfect
-    and 0.75 MB estimated CSI, the small per-batch arrays; 0.93 MB when V
-    was a fresh copy of W)."""
+    pool bytes and allocates under 0.8 MB (traced; measured 0.55 MB perfect
+    and 0.69 MB estimated CSI, the small per-batch arrays and the BS-BS
+    Gram; 0.56 and 0.75 MB drawing whole spans, 0.93 MB when V was a fresh
+    copy of W)."""
     prof = expand_homogeneous(paper_homogeneous)
     cfg = paper_homogeneous.system_config(M=300)
 
@@ -199,8 +198,8 @@ def test_op_memory_steady_state(paper_homogeneous, csi):
 def test_drop_pool_bytes():
     """After one criterion-8 drop at M = 100 with 64 trials (FD then TDD),
     the pool holds at most 16 MB: the largest set of batch arrays alive at
-    once, about 13.8 MB (the TDD batch's two source blocks, the projection
-    and the downlink powers)."""
+    once, 3.7 MB (the TDD batch's uplink and downlink powers; 13.8 MB when
+    each BS drew its whole span)."""
     def drop():
         run_drop(ScenarioParams(), 100, -60.0, [4242, 0], trials=64)
         return pool_bytes()

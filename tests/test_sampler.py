@@ -1,4 +1,6 @@
-"""The coordinate sampler against the M-vector oracle in ``reference.py``."""
+"""The pilot-group sampler against the M-vector oracle in ``reference.py``."""
+
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ def profile_case(case, small_profile, small_config):
     return prof, cfg
 
 
-@pytest.mark.parametrize("case,M", [pytest.param("mixed", 3, id="3"),
+@pytest.mark.parametrize("case,M", [pytest.param("mixed", 1, id="1"),
+                                    pytest.param("mixed", 3, id="3"),
                                     pytest.param("mixed", 16, id="16"),
                                     pytest.param("hd", 3, id="hd-3"),
                                     pytest.param("hd", 16, id="hd-16")])
@@ -35,16 +38,15 @@ def profile_case(case, small_profile, small_config):
 def test_gram_sampler_matches_vector_sampler(small_profile, small_config, case,
                                              system, csi, M):
     """Both samplers through the same kernels give every per-user rate within
-    4 combined stderr.  M = 3 lies below every part's span dimension D (5,
-    or 7 with TDD pilots, with FD users; 4 and 5 without), M = 16 above it.
-    fd_rates_mc's fd/imperfect sampler, which draws neither Gd nor F and, in
-    an all-HD network, no downlink sources, is checked on the uplink too."""
+    4 combined stderr.  M = 1 lies below the span of an FD user's pilot group
+    with TDD pilots (D = 2), and M = 1 and 3 below each BS's precoder Gram
+    (K_d = 4, or 5 all-HD); M = 16 lies above them all.  fd_rates_mc's
+    fd/imperfect sampler, which draws no downlink and, with FD training, no
+    HD downlink users' groups, is checked on the uplink too."""
     prof, cfg = profile_case(case, small_profile, small_config)
     cfg = cfg.replace(M=M)
     need_est, tdd = csi == "imperfect", system == "tdd"
     sampler = _TrialSampler(prof, cfg, need_est, tdd)
-    D = {"mixed": [7 if need_est and tdd else 5], "hd": [4, 5]}[case]
-    assert [r for *_, r in sampler.parts] == [min(M, x) for x in D]
 
     def vector(rng, B):
         return vector_draw_trials(prof, cfg, rng, B, need_est, tdd)
@@ -62,88 +64,99 @@ def test_gram_sampler_matches_vector_sampler(small_profile, small_config, case,
 
 
 def test_gram_sampler_shapes(small_profile, small_config):
-    """Same keys and shapes as the M-vector model, with each part's
-    r = min(M, D) for M: Gu, W and Eps have the combiners' r rows, Gd, V and
-    the BS-BS draws Z the precoders'.  Channels are (B, j, r, l, k) and Z
-    (B, l, m, n, r).  F holds real UE-UE powers, zero exactly at each FD
-    user's own pair and positive elsewhere.  With FD users there is one
-    part of D = 5; in the all-HD network D is 4 for the combiners and 5 for
-    the precoders.  An FD user's downlink channel is its uplink one at every BS,
-    and with FD training its precoder is its combiner.  Without the
-    downlink kernel the batch has no Gd or F; from the same stream it has
-    the same Gu, W, Eps and V, up to rounding where the precoders' part
-    builds V from its Bartlett factor alone."""
-    for case, dims in (("mixed", [5]), ("hd", [4, 5])):
+    """The keys and shapes of vector_batch's: W2 (B, j, n), Pu (B, j, n, l, k)
+    zero at each user's own channel, Pe (B, j, n); Pd (B, l, k, j, i) zero at
+    each user's own beam and own (B, l, k); F (B, l, k, j, n), real UE-UE
+    powers zero exactly at each FD user's own pair and positive elsewhere,
+    and the BS-BS powers Pb (B, l, m, n).  An FD user's downlink channel is
+    its uplink one at every BS, and with FD training its precoder is its
+    combiner, so its own gain is its combiner's inner product with its
+    channel: with perfect CSI |w|^2, with estimation |w|^2 plus w's error
+    term.  Without the downlink kernel the batch has no Pd, own or F."""
+    for case in ("mixed", "hd"):
         p, cfg = profile_case(case, small_profile, small_config)
-        sampler = _TrialSampler(p, cfg, True, False)
-        d = sampler.draw(np.random.default_rng(0), 4)
-        assert [r for *_, r in sampler.parts] == dims
-        r_u, r_d = dims[0], dims[-1]
-        assert d["Gu"].shape == (4, p.L, r_u, p.L, p.K_u)
-        assert d["W"].shape == d["Eps"].shape == (4, p.L, r_u, p.K_u)
-        assert d["Gd"].shape == (4, p.L, r_d, p.L, p.K_d)
-        assert d["V"].shape == (4, p.L, r_d, p.K_d)
-        assert d["F"].shape == (4, p.L, p.K_d, p.L, p.K_u)
-        assert d["Z"].shape == (4, p.L, p.L - 1, p.K_u, r_d)
-        assert d["F"].dtype == float and (d["F"] >= 0).all()
-        ll, kk = np.ix_(np.arange(p.L), np.arange(p.K_f))
-        assert (d["F"][:, ll, kk, ll, kk] == 0).all()
-        assert (d["F"].sum(axis=0) > 0).sum() == p.beta_I.size - p.L * p.K_f
-        if p.K_f:
-            np.testing.assert_array_equal(d["Gd"][..., :p.K_f], d["Gu"][..., :p.K_f])
-            np.testing.assert_array_equal(d["V"][..., :p.K_f], d["W"][..., :p.K_f])
+        L, K_u, K_d, K_f = p.L, p.K_u, p.K_d, p.K_f
+        for csi in ("perfect", "imperfect"):
+            d = _TrialSampler(p, cfg, csi == "imperfect", False).draw(
+                np.random.default_rng(0), 4)
+            keys = {"W2", "Pu", "Pd", "own", "F", "Pb"} | (
+                {"Pe", "Emu"} if csi == "imperfect" else set())
+            assert set(d) == keys
+            assert d["W2"].shape == (4, L, K_u)
+            assert d["Pu"].shape == (4, L, K_u, L, K_u)
+            assert d["Pd"].shape == (4, L, K_d, L, K_d)
+            assert d["own"].shape == (4, L, K_d)
+            assert d["F"].shape == (4, L, K_d, L, K_u)
+            assert d["Pb"].shape == (4, L, L - 1, K_u)
+            jj = np.arange(L)
+            assert (d["Pu"][:, jj, :, jj].diagonal(axis1=2, axis2=3) == 0).all()
+            assert (d["Pd"][:, jj, :, jj].diagonal(axis1=2, axis2=3) == 0).all()
+            assert (d["Pu"] >= 0).all() and (d["Pd"] >= 0).all() and (d["Pb"] > 0).all()
+            assert d["F"].dtype == float and (d["F"] >= 0).all()
+            ll, kk = np.ix_(jj, np.arange(K_f))
+            assert (d["F"][:, ll, kk, ll, kk] == 0).all()
+            assert (d["F"].sum(axis=0) > 0).sum() == p.beta_I.size - L * K_f
+            own, w2 = d["own"][..., :K_f], d["W2"][..., :K_f]
+            if csi == "perfect":
+                np.testing.assert_array_equal(own, w2)
+            else:
+                np.testing.assert_array_equal(np.abs(own - w2) ** 2, d["Pe"][..., :K_f])
         analytic = _TrialSampler(p, cfg, True, False, dl=False).draw(
             np.random.default_rng(0), 4)
-        assert "Gd" not in analytic and "F" not in analytic
-        assert analytic["Z"].shape == d["Z"].shape
-        for key in ("Gu", "W", "Eps", "V"):     # drawn before F, from one stream
-            np.testing.assert_allclose(analytic[key], d[key], rtol=1e-12, atol=1e-12)
+        assert set(analytic) == {"W2", "Pu", "Pe", "Pb"}
 
 
 @pytest.mark.parametrize("system,csi", MODES)
 def test_every_source_feeds_an_output(small_profile, small_config, system, csi):
-    """Each unit source is one channel or pilot noise that some output reads,
-    and each output reads one part's sources only.  Mixed: 15 channels per
-    BS (3 cells x 3 uplink and 2 HD downlink users), plus one noise per
-    pilot slot with estimated CSI (5 with FD training, 7 with TDD pilots),
-    in one part.  All-HD: the uplink part has 12 channels (3 cells x 4
-    users) and the downlink part 15, plus with estimated CSI 4 and 5 noises.
-    Assembling the identity leaves no source unread at any BS."""
-    noises = {"perfect": 0, "imperfect": 7 if system == "tdd" else 5}[csi]
-    hd = [12, 15] if csi == "perfect" else [16, 20]
-    for case, sizes in (("mixed", [15 + noises]), ("hd", hd)):
+    """Each unit source of a pilot group, one of its L = 3 channels or its
+    pilot noises, feeds one of the group's span vectors, and every span
+    vector is a combiner or a precoder.  With FD training every group is one
+    slot: 3 uplink users' then 2 HD downlink users' in the mixed network
+    (K_f = 2), 4 and 5 all-HD.  With TDD pilots an FD user's two slots form
+    one group of 5 sources and span 2.  Perfect CSI has no groups."""
+    shapes = {"fd": {"mixed": [(5, 4, 1)], "hd": [(9, 4, 1)]},
+              "tdd": {"mixed": [(2, 5, 2), (3, 4, 1)], "hd": [(0, 5, 2), (9, 4, 1)]}}
+    for case in ("mixed", "hd"):
         p, cfg = profile_case(case, small_profile, small_config)
         sampler = _TrialSampler(p, cfg, csi == "imperfect", system == "tdd")
-        assert [Q.shape[1] for Q, *_ in sampler.parts] == sizes
-        L, S = p.L, sum(sizes)
-        eye = np.tile(np.eye(S), (1, L, 1, 1))      # _assemble scales it in place
-        out = sampler._assemble(eye[..., :sampler.S_u], eye[..., sampler.S_u:])
-        part = np.repeat(np.arange(len(sizes)), sizes)      # each source's part
-        used = np.zeros((L, S), bool)
-        for key, x in out.items():   # the source index runs along axis 2
-            reads = (x[0] != 0).reshape(L, S, -1).any(axis=2)
-            assert len(set(part[reads.any(axis=0)])) == 1, f"{key} reads two parts"
-            used |= reads
-        assert used.all(), f"{case}: unread (BS, source): {np.argwhere(~used).tolist()}"
+        want = shapes[system][case] if csi == "imperfect" else []
+        assert [Q.shape[1:] for _, Q, *_ in sampler.groups] == want
+        if not want:
+            continue
+        for _, Q, *_ in sampler.groups:
+            assert (np.abs(Q).sum(axis=3) > 0).all(), f"{case}: a source feeds no span vector"
+        spans = np.arange(sum(G * D for G, _, D in want))
+        picked = np.concatenate([spans[sampler.iw], spans[sampler.iv]])
+        assert len(spans[sampler.iw]) == p.K_u and len(spans[sampler.iv]) == p.K_d
+        assert set(picked) == set(spans), f"{case}: a span vector is never read"
 
 
-BUDGETS = [("drop", "fd", "imperfect", 499_200, 0), ("drop", "tdd", "imperfect", 537_600, 0),
-           ("drop", "fd", "perfect", 710_400, 230_400),
-           ("paper", "fd", "perfect", 156_800, 78_400), ("paper", "fd", "imperfect", 168_000, 0)]
+BUDGETS = [("drop", "fd", "imperfect", 499_200, 57_600, 441_600, 7_680),
+           ("drop", "tdd", "imperfect", 537_600, 99_840, 460_800, 99_840),
+           ("drop", "fd", "perfect", 710_400, 7_680, 902_400, 53_760),
+           ("paper", "fd", "perfect", 156_800, 4_480, 302_400, 20_160),
+           ("paper", "fd", "imperfect", 168_000, 22_400, 145_600, 4_480)]
 
 
-@pytest.mark.parametrize("case,system,csi,values,exps", BUDGETS,
+@pytest.mark.parametrize("case,system,csi,spans,values,exps,gammas", BUDGETS,
                          ids=["-".join(map(str, b[:4])) for b in BUDGETS])
-def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, values, exps):
-    """CN values and Exp(1) values one 64-trial batch draws.  A criterion-8
-    drop (12 all-HD cells, 5 + 5 users, M = 100) draws each link's part in
-    its own span, and fd/imperfect, whose downlink is analytic, draws no F
-    and no downlink sources: with one span for both links the imperfect runs
-    drew 1,728,000 (fd) and 1,075,200 (tdd) CN values.  The paper config
-    (K_f = 5) keeps one span; fd/imperfect draws no F.  F is drawn as
-    powers, one Exp(1) value per entry where it was one CN value: fd/perfect
-    drew 940,800 (drop) and 235,200 (paper) CN values with complex F."""
-    counts, exp_counts = [], []
+def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, spans,
+                     values, exps, gammas):
+    """CN, Exp(1) and Gamma values one 64-trial batch draws, on a criterion-8
+    drop (12 all-HD cells, 5 + 5 users, M = 100) and the paper config
+    (K_f = 5).  Each BS draws one part per pilot group, with L + 1 sources
+    and r = 1 here: its Bartlett Gamma and L + 1 CN values.  With estimated
+    CSI each downlink channel adds the Gamma of its norm outside the span;
+    with perfect CSI every span vector is a channel, drawn as beta Gamma(M).
+    Every other inner product is one Exp(1) value: all of Pu and, with the
+    downlink, Pd, in-group entries included, then overwritten.  FD runs add
+    the BS-BS powers, (L - 1) K_u K_d Exp(1) values per BS and a 5 x 5
+    Bartlett factor (10 CN and 5 Gamma values), and with the downlink F.
+    The ids keep each case's CN count when every BS drew its whole span in
+    one part (``spans``): 499,200, 537,600, 710,400, 156,800 and 168,000,
+    and before the all-HD links were drawn apart 1,728,000 (drop
+    fd/imperfect) and 1,075,200 (drop tdd/imperfect)."""
+    counts, exp_counts, gamma_counts = [], [], []
 
     def counting_draw_cn(rng, shape, out=None):
         x = draw_cn(rng, shape, out=out)
@@ -162,6 +175,11 @@ def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, values, 
             exp_counts.append(x.size)
             return x
 
+        def standard_gamma(self, shape, size=None, out=None):
+            x = self.rng.standard_gamma(shape, size, out=out)
+            gamma_counts.append(np.size(x))
+            return x
+
     if case == "drop":
         params = ScenarioParams()
         topo = drop_topology(params, np.random.default_rng(1))
@@ -173,7 +191,7 @@ def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, values, 
     monkeypatch.setattr(rates, "draw_cn", counting_draw_cn)
     monkeypatch.setattr(rates, "trial_rng", lambda seed, t: CountingRng(trial_rng(seed, t)))
     _mc_rates(prof, cfg, system, csi, 64, 0)
-    assert (sum(counts), sum(exp_counts)) == (values, exps)
+    assert (sum(counts), sum(exp_counts), sum(gamma_counts)) == (values, exps, gammas)
 
 
 def test_tdd_batch_has_no_ue_ue_matrix(small_profile, small_config):
@@ -199,3 +217,24 @@ def test_mc_at_million_antennas_meets_limits(law, fac, csi):
     err = max(np.abs(rep.ul_rates / a_ul - 1).max(),
               np.abs(rep.dl_rates / a_dl - 1).max())
     assert err <= 0.01, f"worst relative error {err:.2e}"
+
+
+@pytest.mark.parametrize("system", ["fd", "tdd"])
+@pytest.mark.parametrize("M", [1, 16])
+def test_downlink_channel_norms_are_gamma(small_profile, small_config, system, M):
+    """With estimated CSI a downlink channel's squared norm, its part in its
+    pilot group's span plus the residual variance times Gamma(M - r), is
+    beta_d Gamma(M): mean beta M and variance beta^2 M, within 4.5 stderr
+    for every (BS, user) pair over 20,000 trials.  M = 1 lies below an FD
+    user's TDD group (r = 1 < D = 2), where the span holds the whole
+    channel; M = 16 above it."""
+    cfg = small_config.replace(M=M)
+    sampler = _TrialSampler(small_profile, cfg, True, system == "tdd")
+    rng, n = np.random.default_rng(5), 20_000
+    g2 = np.concatenate([sampler._spans(rng, 1000)[3] for _ in range(n // 1000)])
+    beta = small_profile.beta_d.transpose(1, 2, 0)              # (l, k, j)
+    x = g2 / beta                                               # Gamma(M) each
+    z_mean = (x.mean(axis=0) - M) / math.sqrt(M / n)
+    z_var = (x.var(axis=0, ddof=1) - M) / (M * math.sqrt((2 + 6 / M) / n))
+    assert np.abs(z_mean).max() < 4.5, f"mean: max |z| {np.abs(z_mean).max():.2f}"
+    assert np.abs(z_var).max() < 4.5, f"variance: max |z| {np.abs(z_var).max():.2f}"
