@@ -30,19 +30,19 @@ products an SINR reads pilot group by pilot group (:class:`_TrialSampler`):
   The uplink conditions on the combiner.  The downlink conditions on the
   user's channel g, which its terms at one BS share: precoder i gives
   |g|^2 sigma_i^2 Exp(1), sigma_i^2 its variance per antenna.
-* For a combiner w at its receiving end, a BS-BS channel H gives H^H w ~
-  CN(0, beta_b |w|^2 I), independent of the rest, so the uplink reads
-  |V_l^H z|^2 = sum_i lambda_i(V_l V_l^H) Exp(1) for BS l's precoders V_l
-  and an isotropic unit z.  They lie on different slots, so V_l's Gram is a
-  Bartlett factor's with columns scaled by sigma_i.  UE-UE channels are
-  read as powers, beta_I Exp(1) (0 at an FD user's own pair, cancelled).
+* For a combiner w at its receiving end, a BS-BS channel H gives the
+  direction z = H^H w / (|w| sqrt(beta_b)) ~ CN(0, I_M), independent of the
+  rest.  BS l's precoders V_l lie on different slots, so their columns are
+  independent CN(0, sigma_i^2 I), and conditioning on z gives |V_l^H z|^2 =
+  |z|^2 sum_i sigma_i^2 Exp(1), |z|^2 ~ Gamma(M), exact for every M.  UE-UE
+  channels are powers, beta_I Exp(1) (0 at an FD user's own pair, cancelled).
 
 What one SINR reads at one BS is jointly exact or independent given the
 vector it conditions on, and BSs see independent channels, so every
 per-user rate has the law of the M-vector model.  The joint law across
 users is not kept: two users' powers against one channel or one precoder
-are independent, and the BS-BS Grams are drawn apart from the precoders.
-No reported mean reads it; the spread of a per-cell sum over seeds does.
+are independent, BS-BS powers included, each drawn given its own z.  No
+reported mean reads it; the spread of a per-cell sum over seeds does.
 A trial costs O(L^2 K^2) draws whatever M is, and the kernels are
 arithmetic on a batch, whose keys say which terms exist.
 
@@ -324,19 +324,17 @@ class _TrialSampler:
         of cell l, 0 at the own beam, own = its v^H g (B, l, k), and with
         estimation Emu (its mean, (L, K_d)).  FD runs add the UE-UE powers F
         (B, l, k, j, n) if ``dl``, and Pb = |V_l^H z|^2 (B, l, m, n) of BS
-        l's precoders and a unit isotropic z for user n of its m-th other BS.
+        l's precoders and the BS-BS direction z ~ CN(0, I_M) of user n of
+        its m-th other BS.
         The large arrays live in the thread's scratch pool, which leaves them
         alone while the caller holds them."""
         p, M = self.profile, self.cfg.M
         L, K_u, K_d = p.L, p.K_u, p.K_d
         est, out = self.est, {}
-        if not self.tdd:    # V_l's Gram eigenvalues weigh z's Exp(1) powers
-            R = _bartlett(rng, M, (B, L), K_d)
-            R *= np.sqrt(self.var_v)[:, None]
-            lam = np.linalg.eigvalsh(R @ R.conj().swapaxes(2, 3))
-            E = rng.standard_exponential(out=_scratch((B, L, (L - 1) * K_u, lam.shape[2])))
-            out["Pb"] = (E @ lam[..., None]).reshape(B, L, L - 1, K_u)
-            del R, E    # before the groups' arrays are drawn
+        if not self.tdd:    # given z, precoder i gives |z|^2 sigma_i^2 Exp(1)
+            out["Pb"] = Pb = (rng.standard_exponential(out=_scratch((B, L, (L - 1) * K_u, K_d)))
+                              @ self.var_v[..., None]).reshape(B, L, L - 1, K_u)
+            Pb *= rng.standard_gamma(M, size=Pb.shape)
         W2, Wg, Vg, G2 = self._spans(rng, B)
         out["W2"] = W2
         if est:

@@ -43,9 +43,9 @@ def test_control_means_match_plain_averages(case, system, csi, small_profile,
     """Every closed-form control mean against a plain Monte Carlo average of
     its control, within 4.5 stderr, for every user: on the paper's
     seven-cell config, and on a mixed FD/HD profile at M = 3, below the
-    dimension of each BS's precoder Gram (K_d = 4).  With estimated CSI the downlink control's mean is the
-    interference of dl_rates_fd_imperfect, so this is also a two-sided
-    moment check of Proposition 2's downlink."""
+    number of each BS's precoders (K_d = 4).  With estimated CSI the
+    downlink control's mean is the interference of dl_rates_fd_imperfect, so
+    this is also a two-sided moment check of Proposition 2's downlink."""
     if case == "paper":
         prof = expand_homogeneous(paper_homogeneous)
         cfg, trials = paper_homogeneous.system_config(), 3200

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from fdmimo import ScenarioParams, expand_homogeneous, fd_rates_mc, tdd_rates_mc
-from fdmimo.rates import _TrialSampler
-from fdmimo.scenario import run_drop
+from fdmimo.rates import _mc_rates, _TrialSampler
+from fdmimo.scenario import drop_topology, profile_from_topology, run_drop
 
 from conftest import in_fresh_thread, pool_bytes
 
 FIELDS = ("ul_rates", "dl_rates", "ul_stderr", "dl_stderr")
+MODES = [(case, system, csi) for case in ("paper", "drop") for system in ("fd", "tdd")
+         for csi in ("perfect", "imperfect")]
 
 
 def paper_case(h, csi, system, M=300):
@@ -116,3 +118,25 @@ def test_pool_stays_bounded(paper_homogeneous):
         return sizes
     sizes = in_fresh_thread(rounds)
     assert sizes[0] == sizes[1] == sizes[2] <= 16e6, sizes
+
+
+@pytest.mark.parametrize("case,system,csi", MODES, ids=["-".join(m) for m in MODES])
+def test_warm_repeat_adds_no_pool_bytes(paper_homogeneous, case, system, csi):
+    """In every mode, on the paper config at M = 300 and on a criterion-8
+    drop at M = 100, a second 64-trial op on a new seed, in a thread whose
+    pool the first op filled, adds no pool bytes: the pool settles after one
+    call (at 2-3 buffers, measured), whatever order the batch asks in."""
+    if case == "paper":
+        prof, cfg = expand_homogeneous(paper_homogeneous), paper_homogeneous.system_config(M=300)
+    else:
+        params = ScenarioParams()
+        topo = drop_topology(params, np.random.default_rng(1))
+        prof = profile_from_topology(params, topo, np.random.default_rng(2))
+        cfg = params.system_config(M=100, kappa_db=-60.0)
+
+    def repeat():
+        _mc_rates(prof, cfg, system, csi, 64, 0)
+        before = pool_bytes()
+        _mc_rates(prof, cfg, system, csi, 64, 1)
+        return pool_bytes() - before
+    assert in_fresh_thread(repeat) == 0

@@ -164,10 +164,11 @@ def test_op_memory_peak(paper_homogeneous, csi):
     M = 300 allocates at most 8.0 MB at its peak, as traced by tracemalloc:
     the per-op working set that sets the benchmark's peak resident memory.
     The call runs from an empty scratch pool, so the pool's buffers count.
-    Measured peaks: 2.36 MB perfect and 1.89 MB estimated CSI with pilot
-    groups and powers (5.91 and 5.50 MB drawing each BS's whole span; with
-    fresh arrays per batch 6.68 and 6.12 MB; before the batched-matmul
-    layout and UE-UE powers 7.63 and 7.55 MB)."""
+    Measured peaks: 2.36 MB perfect and 1.87 MB estimated CSI with pilot
+    groups and powers (1.89 MB estimated with the BS-BS Gram; 5.91 and
+    5.50 MB drawing each BS's whole span; with fresh arrays per batch 6.68
+    and 6.12 MB; before the batched-matmul layout and UE-UE powers 7.63 and
+    7.55 MB)."""
     prof = expand_homogeneous(paper_homogeneous)
     cfg = paper_homogeneous.system_config(M=300)
     fd_rates_mc(prof, cfg, 64, 0, csi=csi)
@@ -178,10 +179,10 @@ def test_op_memory_peak(paper_homogeneous, csi):
 @pytest.mark.parametrize("csi", ["perfect", "imperfect"])
 def test_op_memory_steady_state(paper_homogeneous, csi):
     """A warm repeat of that call writes its batch into the pool: it adds no
-    pool bytes and allocates under 0.8 MB (traced; measured 0.55 MB perfect
-    and 0.69 MB estimated CSI, the small per-batch arrays and the BS-BS
-    Gram; 0.56 and 0.75 MB drawing whole spans, 0.93 MB when V was a fresh
-    copy of W)."""
+    pool bytes and allocates under 0.8 MB (traced; measured 0.48 MB perfect
+    and 0.67 MB estimated CSI, the small per-batch arrays; 0.55 and 0.69 MB
+    with the BS-BS Gram, 0.56 and 0.75 MB drawing whole spans, 0.93 MB when
+    V was a fresh copy of W)."""
     prof = expand_homogeneous(paper_homogeneous)
     cfg = paper_homogeneous.system_config(M=300)
 

@@ -9,6 +9,7 @@ from fdmimo import (PowerScalingSchedule, ScenarioParams, SystemConfig,
                     asymptotic_rates, expand_homogeneous, fd_rates_mc)
 from fdmimo import rates
 from fdmimo.channel import draw_cn, trial_rng
+from fdmimo.estimation import estimation_stats
 from fdmimo.rates import _mc_rates, _TrialSampler
 from fdmimo.scenario import drop_topology, profile_from_topology
 
@@ -39,10 +40,10 @@ def test_gram_sampler_matches_vector_sampler(small_profile, small_config, case,
                                              system, csi, M):
     """Both samplers through the same kernels give every per-user rate within
     4 combined stderr.  M = 1 lies below the span of an FD user's pilot group
-    with TDD pilots (D = 2), and M = 1 and 3 below each BS's precoder Gram
-    (K_d = 4, or 5 all-HD); M = 16 lies above them all.  fd_rates_mc's
-    fd/imperfect sampler, which draws no downlink and, with FD training, no
-    HD downlink users' groups, is checked on the uplink too."""
+    with TDD pilots (D = 2), and M = 1 and 3 below the number of each BS's
+    precoders (K_d = 4, or 5 all-HD); M = 16 lies above them all.
+    fd_rates_mc's fd/imperfect sampler, which draws no downlink and, with FD
+    training, no HD downlink users' groups, is checked on the uplink too."""
     prof, cfg = profile_case(case, small_profile, small_config)
     cfg = cfg.replace(M=M)
     need_est, tdd = csi == "imperfect", system == "tdd"
@@ -131,11 +132,43 @@ def test_every_source_feeds_an_output(small_profile, small_config, system, csi):
         assert set(picked) == set(spans), f"{case}: a span vector is never read"
 
 
-BUDGETS = [("drop", "fd", "imperfect", 499_200, 57_600, 441_600, 7_680),
+@pytest.mark.parametrize("M", [1, 3, 300])
+@pytest.mark.parametrize("csi", ["perfect", "imperfect"])
+@pytest.mark.parametrize("source", ["sampler", "oracle"])
+def test_bsbs_power_moments(source, csi, M):
+    """Pb[b, l, m, n] = |V_l^H z|^2 for BS l's precoders V_l and z ~ CN(0, I_M)
+    has mean M S1 and second moment M(M + 1)(S1^2 + S2), S1 and S2 the sums
+    of sigma_i^2 and sigma_i^4 over the precoders' variances per antenna.
+    The sampler's Gamma(M) sum_i sigma_i^2 Exp(1) and the M-vector oracle's
+    Z @ V meet both within 4 stderr at every (l, m, n) over 20,000 trials.
+    Two cells with an FD user and an HD downlink user each (K_d = 2), so
+    M = 1 lies below the number of BS l's precoders and M = 3 and 300 above
+    it."""
+    prof = random_profile(np.random.default_rng(3), L=2, K_f=1, K_h_u=0, K_h_d=1)
+    cfg = SystemConfig(L=2, M=M, K_f=1, K_h_u=0, K_h_d=1, P_u=10.0, P_d=100.0,
+                       P_tr=10.0, kappa=1e-5, sigma2=1.0, T=196)
+    need_est = csi == "imperfect"
+    if source == "sampler":
+        draw = _TrialSampler(prof, cfg, need_est, False).draw
+    else:
+        def draw(rng, B):
+            return vector_draw_trials(prof, cfg, rng, B, need_est, False)
+    rng, n, B = np.random.default_rng(17), 20_000, 500
+    pb = np.concatenate([draw(rng, B)["Pb"] for _ in range(n // B)])
+    jj = np.arange(prof.L)
+    var = estimation_stats(prof, cfg).est_var_d if need_est else prof.beta_d[jj, jj]
+    s1, s2 = var.sum(axis=1), (var ** 2).sum(axis=1)
+    for k, want in ((1, M * s1), (2, M * (M + 1) * (s1 ** 2 + s2))):
+        x = pb ** k
+        z = (x.mean(axis=0) - want[:, None, None]) / (x.std(axis=0, ddof=1) / math.sqrt(n))
+        assert np.abs(z).max() < 4, f"moment {k}: max |z| {np.abs(z).max():.2f}"
+
+
+BUDGETS = [("drop", "fd", "imperfect", 499_200, 49_920, 441_600, 46_080),
            ("drop", "tdd", "imperfect", 537_600, 99_840, 460_800, 99_840),
-           ("drop", "fd", "perfect", 710_400, 7_680, 902_400, 53_760),
-           ("paper", "fd", "perfect", 156_800, 4_480, 302_400, 20_160),
-           ("paper", "fd", "imperfect", 168_000, 22_400, 145_600, 4_480)]
+           ("drop", "fd", "perfect", 710_400, 0, 902_400, 92_160),
+           ("paper", "fd", "perfect", 156_800, 0, 302_400, 31_360),
+           ("paper", "fd", "imperfect", 168_000, 17_920, 145_600, 15_680)]
 
 
 @pytest.mark.parametrize("case,system,csi,spans,values,exps,gammas", BUDGETS,
@@ -150,12 +183,17 @@ def test_draw_budget(monkeypatch, paper_homogeneous, case, system, csi, spans,
     with perfect CSI every span vector is a channel, drawn as beta Gamma(M).
     Every other inner product is one Exp(1) value: all of Pu and, with the
     downlink, Pd, in-group entries included, then overwritten.  FD runs add
-    the BS-BS powers, (L - 1) K_u K_d Exp(1) values per BS and a 5 x 5
-    Bartlett factor (10 CN and 5 Gamma values), and with the downlink F.
-    The ids keep each case's CN count when every BS drew its whole span in
-    one part (``spans``): 499,200, 537,600, 710,400, 156,800 and 168,000,
-    and before the all-HD links were drawn apart 1,728,000 (drop
-    fd/imperfect) and 1,075,200 (drop tdd/imperfect)."""
+    the BS-BS powers, (L - 1) K_u K_d Exp(1) values and (L - 1) K_u Gamma
+    values per BS, and with the downlink F.  When the BS-BS powers were
+    weighted by a Gram's eigenvalues, each BS drew a 5 x 5 Bartlett factor
+    (10 CN and 5 Gamma values) in place of those Gammas, and (CN, Gamma)
+    were (57,600, 7,680) on the drop's fd/imperfect row, (7,680, 53,760) on
+    its fd/perfect row, and (4,480, 20,160) and (22,400, 4,480) on the paper
+    config's fd/perfect and fd/imperfect rows.  The ids keep each
+    case's CN count when every BS drew its whole span in one part
+    (``spans``): 499,200, 537,600, 710,400, 156,800 and 168,000, and before
+    the all-HD links were drawn apart 1,728,000 (drop fd/imperfect) and
+    1,075,200 (drop tdd/imperfect)."""
     counts, exp_counts, gamma_counts = [], [], []
 
     def counting_draw_cn(rng, shape, out=None):
