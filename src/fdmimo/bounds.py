@@ -8,6 +8,7 @@ the asymptotic gain checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,9 +17,8 @@ import numpy as np
 from .config import (HomogeneousConfig, LargeScaleProfile, PowerScalingSchedule,
                      SystemConfig, _is_integer, expand_homogeneous)
 from .estimation import estimation_stats
-from .rates import (RateReport, _check_inputs, _check_mode,
-                    dl_rates_fd_imperfect, overheads, per_cell_factors,
-                    ue_interference)
+from .rates import (RateReport, _check_inputs, _check_mode, _uatf_rates,
+                    overheads, per_cell_factors, ue_interference)
 
 
 def _bs_interference(profile: LargeScaleProfile, cfg: SystemConfig,
@@ -69,7 +69,7 @@ def prop2_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     M, P_u, P_tr, s2 = cfg.M, cfg.P_u, cfg.P_tr, cfg.sigma2
     jj = np.arange(profile.L)
     bu = profile.beta_u                                         # (j, l, n)
-    lam_u = estimation_stats(profile, cfg).lam_u                # (j, n)
+    st = estimation_stats(profile, cfg)
     own = bu[jj, jj]
     pilot = bu.sum(axis=1)                                      # sum_l bu[j, l, n]
 
@@ -77,10 +77,10 @@ def prop2_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     contam = P_tr * P_u * ((M + 1) * bu ** 2 + (pilot[:, None] - bu) * bu + bu * s2 / P_tr)
     contam[jj, jj] = 0.0
     other = P_u * (bu.sum(axis=(1, 2))[:, None] - pilot)
-    N_t = lam_u * (other + _bs_interference(profile, cfg, system) + s2)
+    N_t = st.lam_u * (other + _bs_interference(profile, cfg, system) + s2)
     num = P_tr * P_u * (M - 1) * own ** 2
     ul = np.log2(1.0 + num / (est_err + contam.sum(axis=1) + N_t))
-    return ul, dl_rates_fd_imperfect(profile, cfg, system)
+    return ul, _uatf_rates(profile, cfg, system, st)
 
 
 def closed_form_report(profile, cfg, csi, system="fd") -> RateReport:
@@ -186,40 +186,79 @@ class TradeoffPoint:
     reachable: bool = True
 
 
-def _tdd_sum_se(h: HomogeneousConfig, csi: str, M: int) -> float:
-    cfg = h.system_config(M=M)
-    profile = expand_homogeneous(h)
-    rep = closed_form_report(profile, cfg, csi, system="tdd")
-    return float(rep.ul_se_per_cell.sum() + rep.dl_se_per_cell.sum()) / h.L
+def _least_reaching(gain, g, lo, hi, start):
+    """The smallest integer M in [lo, hi] with gain(M) >= g, for gain
+    nondecreasing in M and gain(hi) >= g; the first probe is ``start``.
+
+    Regula falsi in log M with the Illinois step (Dowell & Jarratt, BIT 11,
+    1971) on a bracket a < b with gain(a) < g <= gain(b): the next probe is
+    where the chord through the ends crosses g, and an end kept twice in a
+    row has its distance to g halved.  Every probe is clamped strictly
+    inside (a, b), and the search ends when b = a + 1.  A probe only
+    narrows the bracket, so for a monotone gain the result is bisection's,
+    whatever the probe order.
+    """
+    if gain(lo) >= g:
+        return lo
+    a, b, m, kept = lo, hi, start, None
+    fa, fb = gain(a) - g, gain(b) - g
+    while b - a > 1:
+        m = min(max(m, a + 1), b - 1)
+        r = gain(m)
+        if r >= g:
+            b, fb = m, r - g
+            if kept == "a":
+                fa /= 2
+            kept = "a"
+        else:
+            a, fa = m, r - g
+            if kept == "b":
+                fb /= 2
+            kept = "b"
+        xa, xb = math.log(a), math.log(b)
+        m = math.ceil(math.exp(xb - fb * (xb - xa) / (fb - fa)))
+    return b
 
 
 def antenna_reduction_curve(h: HomogeneousConfig, M_tdd_list, csi: str,
                             gains=None, M_max: int = 10_000_000):
     """For each TDD antenna count and target gain, the smallest FD antenna
-    count whose spectral efficiency reaches gain x TDD."""
+    count in [3, M_max] whose spectral efficiency reaches gain x TDD.
+
+    The FD rates grow with M, so the count is searched for from M_tdd by
+    :func:`_least_reaching`, which returns what bisection returns in a few
+    evaluations.  Each M's FD rates are evaluated once per curve.  A gain
+    the FD network misses even at M_max gives M_fd = M_max, unreachable.
+    Without ``gains`` each M_tdd gets 8 gains from 1 to the equal-antenna
+    gain.  Gains must be finite and positive, M_max an integer >= 3.
+    """
+    _check_mode(csi=csi)
+    if not (_is_integer(M_max) and M_max >= 3):
+        raise ValueError(f"M_max: integer M_max >= 3 required, got {M_max!r}")
+    if gains is not None:
+        gains = list(gains)
+        bad = [g for g in gains if not (g > 0 and math.isfinite(g))]
+        if bad:
+            raise ValueError(f"gains: finite positive target gains required, got {bad!r}")
+    profile = expand_homogeneous(h)
+    fd_sum_se = functools.cache(lambda m: sum(homogeneous_rates(h, csi, M=m)))
     points = []
     for M_tdd in M_tdd_list:
-        se_tdd = _tdd_sum_se(h, csi, M_tdd)
+        rep = closed_form_report(profile, h.system_config(M=M_tdd), csi, system="tdd")
+        se_tdd = float(rep.ul_se_per_cell.sum() + rep.dl_se_per_cell.sum()) / h.L
+
+        def gain(m):
+            return fd_sum_se(m) / se_tdd
+
         target_gains = gains
         if target_gains is None:
-            g_eq = sum(homogeneous_rates(h, csi, M=M_tdd)) / se_tdd
-            target_gains = np.linspace(1.0, g_eq, 8)
-        for g in target_gains:
+            target_gains = np.linspace(1.0, gain(M_tdd), 8)
+        for g in map(float, target_gains):
             # Gains, not SEs, are compared: at g = g_eq the gain at M_tdd is
             # the same float, so M_fd = M_tdd whatever the rounding.
-            if sum(homogeneous_rates(h, csi, M=M_max)) / se_tdd < g:
-                points.append(TradeoffPoint(M_tdd=M_tdd, M_fd=M_max, se_gain=g,
-                                            antenna_reduction=M_tdd / M_max,
-                                            reachable=False))
-                continue
-            lo, hi = 3, M_max
-            # rates are monotone nondecreasing in M; bisect for the minimum
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sum(homogeneous_rates(h, csi, M=mid)) / se_tdd >= g:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            points.append(TradeoffPoint(M_tdd=M_tdd, M_fd=lo, se_gain=float(g),
-                                        antenna_reduction=M_tdd / lo))
+            reachable = gain(M_max) >= g
+            M_fd = _least_reaching(gain, g, 3, M_max, M_tdd) if reachable else M_max
+            points.append(TradeoffPoint(M_tdd=M_tdd, M_fd=M_fd, se_gain=g,
+                                        antenna_reduction=M_tdd / M_fd,
+                                        reachable=reachable))
     return points

@@ -46,10 +46,11 @@ def estimation_stats(profile: LargeScaleProfile, cfg: SystemConfig) -> Estimatio
     jj = np.arange(profile.L)
 
     def stats(beta):  # beta: (L, L, K)
-        lam = s2 + P * beta.sum(axis=1)
+        pilot = beta.sum(axis=1)
+        lam = s2 + P * pilot
         serving = beta[jj, jj]
         est = P * serving ** 2 / lam
-        err = serving * (s2 + P * (beta.sum(axis=1) - serving)) / lam
+        err = serving * (s2 + P * (pilot - serving)) / lam
         return lam, est, err
 
     lam_u, est_u, err_u = stats(profile.beta_u)

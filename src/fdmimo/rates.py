@@ -87,12 +87,18 @@ def per_cell_factors(profile: LargeScaleProfile, cfg: SystemConfig,
     it is gamma_tilde = (M/K_d) sum_k P_tr beta_d[l,l,k]^2 / lam_d[l,k].
     """
     _check_mode(csi=csi)
+    return _cell_factors(profile, cfg,
+                         None if csi == "perfect" else estimation_stats(profile, cfg))
+
+
+def _cell_factors(profile, cfg, st):
+    """:func:`per_cell_factors` given the MMSE statistics ``st`` of the
+    profile with estimated CSI, or None with perfect CSI."""
     own = profile.beta_d[np.arange(profile.L), np.arange(profile.L)]   # (L, K_d)
-    if csi == "perfect":
+    if st is None:
         gamma = cfg.M * own.sum(axis=1) / profile.K_d
     else:
-        lam_d = estimation_stats(profile, cfg).lam_d
-        gamma = cfg.M * cfg.P_tr * (own ** 2 / lam_d).sum(axis=1) / profile.K_d
+        gamma = cfg.M * cfg.P_tr * (own ** 2 / st.lam_d).sum(axis=1) / profile.K_d
     return cfg.P_d / (profile.K_d * gamma)
 
 
@@ -224,7 +230,8 @@ class _TrialSampler:
     """Batches of coherence blocks as the norms, inner products and powers
     the SINR kernels read; the only code here that draws random numbers.
 
-    With estimated CSI, ``groups`` stacks the pilot groups of each shape:
+    With estimated CSI, ``st`` holds the profile's MMSE statistics (None
+    with perfect CSI), and ``groups`` stacks the pilot groups of each shape:
     (channel scales (L, G, L), Q (L, G, S, D), R_C (L, G, D, D), channel
     variances outside the span (L, G, L)).  ``iw`` and ``iv`` pick the
     combiners and precoders from the groups' span vectors, group-major.  FD
@@ -239,10 +246,10 @@ class _TrialSampler:
         self.ue_gain = profile.beta_I.copy()    # each FD user cancels its own
         np.einsum("lklk->lk", self.ue_gain[:, :K_f, :, :K_f])[...] = 0.0
         self.var_v = bd[jj, jj]                 # each precoder's, per antenna
-        self.est, self.groups = need_est, []
+        self.groups, self.st = [], None
         if not need_est:
             return
-        st = estimation_stats(profile, cfg)
+        self.st = st = estimation_stats(profile, cfg)
         self.var_v = st.est_var_d
         # Mean own gain of each downlink user, E[v^H g] = M c beta.
         self.Emu = cfg.M * cfg.P_tr * bd[jj, jj] ** 2 / st.lam_d
@@ -281,7 +288,7 @@ class _TrialSampler:
         p, M, jj = self.profile, self.cfg.M, np.arange(self.profile.L)
         L, K_u, K_d, K_f = p.L, p.K_u, p.K_d, p.K_f
         Wg = Vg = G2 = None
-        if not self.est:
+        if self.st is None:
             W2 = rng.standard_gamma(M, size=(B, L, K_u)) * p.beta_u[jj, jj]
             if self.dl:
                 G2 = rng.standard_gamma(M, size=(B, L, L, K_d))      # (B, j, l, k)
@@ -330,7 +337,7 @@ class _TrialSampler:
         alone while the caller holds them."""
         p, M = self.profile, self.cfg.M
         L, K_u, K_d = p.L, p.K_u, p.K_d
-        est, out = self.est, {}
+        est, out = self.st is not None, {}
         if not self.tdd:    # given z, precoder i gives |z|^2 sigma_i^2 Exp(1)
             out["Pb"] = Pb = (rng.standard_exponential(out=_scratch((B, L, (L - 1) * K_u, K_d)))
                               @ self.var_v[..., None]).reshape(B, L, L - 1, K_u)
@@ -438,9 +445,10 @@ def _digamma(n: int) -> float:
             - 1 / (252 * n ** 6))
 
 
-def _control_means(profile, cfg, system, csi):
+def _control_means(profile, cfg, system, st):
     """Exact means of the kernels' controls: uplink (L, K_u, p_ul) and
-    downlink (L, K_d, p_dl), in the kernels' order.
+    downlink (L, K_d, p_dl), in the kernels' order; ``st`` is the profile's
+    MMSE statistics with estimated CSI, None with perfect CSI.
 
     A combiner w is CN(0, v I_M), v its serving gain or, with estimated CSI,
     its estimate's variance, so E log|w|^2 = ln v + psi(M).  A channel
@@ -460,24 +468,23 @@ def _control_means(profile, cfg, system, csi):
     bu, bd = profile.beta_u, profile.beta_d
     psi = _digamma(M)
     inter = bu.sum(axis=(1, 2))[:, None] - bu[jj, jj]
-    if csi == "perfect":
+    if st is None:
         ul = [np.log(bu[jj, jj]) + psi, inter]
     else:
-        st = estimation_stats(profile, cfg)
         contam = (off[:, :, None] * bu ** 2).sum(axis=1)
         ul = [np.log(st.est_var_u) + psi,
               inter + (M - 1) * cfg.P_tr * contam / st.lam_u, st.err_var_u]
     if system == "fd":
         bsbs = cfg.P_d * (off * profile.beta_b).sum(axis=1)
         ul.append(np.broadcast_to(bsbs[:, None], inter.shape))
-    if csi == "perfect":
+    if st is None:
         own = bd[jj, jj]
-        coef = per_cell_factors(profile, cfg, csi)[:, None]
+        coef = _cell_factors(profile, cfg, None)[:, None]
         dl = [2 * (np.log(own) + psi),
               cfg.P_d * bd.sum(axis=0) - coef * M * own ** 2
               + ue_interference(profile, cfg, system)]
     else:
-        dl = [_uatf_terms(profile, cfg, system)[1]]
+        dl = [_uatf_terms(profile, cfg, system, st)[1]]
     return np.stack(ul, axis=-1), np.stack(dl, axis=-1)
 
 
@@ -497,10 +504,11 @@ def _check_inputs(profile, cfg, closed_forms=False):
                              f"{getattr(cfg, name)} != {getattr(profile, name)}")
 
 
-def _simulate(draw, profile, cfg, system, csi, trials, seed):
+def _simulate(draw, profile, cfg, system, st, trials, seed):
     """Per-user mean log2(1+SINR) and its stderr over ``trials`` blocks from
     ``draw(rng, B)``, each link reduced on its own with its own controls:
     [(ul, ul_se)], (L, K_u), then (dl, dl_se), (L, K_d), if the blocks hold Pd.
+    ``st`` is the profile's MMSE statistics with estimated CSI, else None.
 
     Each mean is a control-variate estimate Ybar - b (Xbar - mu): X are the
     kernels' per-trial controls and mu their exact means
@@ -509,8 +517,8 @@ def _simulate(draw, profile, cfg, system, csi, trials, seed):
     estimate is unbiased and a pure function of the seed.  Only the folds'
     moment sums are kept, and the stderr is that of the residuals y - b x.
     """
-    coef = per_cell_factors(profile, cfg, csi)
-    mu = _control_means(profile, cfg, system, csi)
+    coef = _cell_factors(profile, cfg, st)
+    mu = _control_means(profile, cfg, system, st)
     folds = [None, None]                    # per link
     for t, done in enumerate(range(0, trials, _BATCH)):
         d = draw(trial_rng(seed, t), min(_BATCH, trials - done))
@@ -525,7 +533,8 @@ def _simulate(draw, profile, cfg, system, csi, trials, seed):
 
 def _mc_rates(profile, cfg, system, csi, trials, seed):
     """Each link reduced on its own by :func:`_simulate`, except the
-    fd/imperfect downlink, :func:`dl_rates_fd_imperfect` (stderr 0)."""
+    fd/imperfect downlink, :func:`dl_rates_fd_imperfect` (stderr 0).  The
+    sampler's MMSE statistics serve every closed-form part."""
     _check_mode(system, csi)
     _check_inputs(profile, cfg)
     if not _is_integer(trials):
@@ -535,9 +544,9 @@ def _mc_rates(profile, cfg, system, csi, trials, seed):
     analytic_dl = system == "fd" and csi == "imperfect"
     sampler = _TrialSampler(profile, cfg, csi == "imperfect", system == "tdd",
                             dl=not analytic_dl)
-    links = _simulate(sampler.draw, profile, cfg, system, csi, trials, seed)
+    links = _simulate(sampler.draw, profile, cfg, system, sampler.st, trials, seed)
     if analytic_dl:
-        dl = dl_rates_fd_imperfect(profile, cfg)
+        dl = _uatf_rates(profile, cfg, system, sampler.st)
         links.append((dl, np.zeros_like(dl)))
     (ul, ul_se), (dl, dl_se) = links
     o_ul, o_dl = overheads(cfg, system, csi)
@@ -590,16 +599,22 @@ def dl_rates_fd_imperfect(profile, cfg, system="fd") -> np.ndarray:
     transmitter noise terms are absent.
     """
     _check_mode(system=system)
-    signal, interference = _uatf_terms(profile, cfg, system)
+    return _uatf_rates(profile, cfg, system, estimation_stats(profile, cfg))
+
+
+def _uatf_rates(profile, cfg, system, st):
+    """:func:`dl_rates_fd_imperfect` given the profile's MMSE statistics."""
+    signal, interference = _uatf_terms(profile, cfg, system, st)
     return np.log2(1.0 + signal / (interference + cfg.sigma2_dl))
 
 
-def _uatf_terms(profile, cfg, system):
-    """Signal and interference, (L, K_d), of :func:`dl_rates_fd_imperfect`."""
+def _uatf_terms(profile, cfg, system, st):
+    """Signal and interference, (L, K_d), of :func:`dl_rates_fd_imperfect`
+    given the profile's MMSE statistics ``st``."""
     jj = np.arange(profile.L)
     bd = profile.beta_d                                         # (j, l, k)
-    c = cfg.P_tr * bd[jj, jj] / estimation_stats(profile, cfg).lam_d
-    coef = per_cell_factors(profile, cfg, "imperfect")
+    c = cfg.P_tr * bd[jj, jj] / st.lam_d
+    coef = _cell_factors(profile, cfg, st)
     mean2 = coef[:, None, None] * (cfg.M * c[:, None, :] * bd) ** 2
     signal = mean2[jj, jj]                                      # (l, k)
     mean2[jj, jj] = 0.0

@@ -461,7 +461,8 @@ def kernel_rates(draw, profile, cfg, system, csi, trials, seed):
     the full-duplex imperfect-CSI one included, so a sampler is checked on
     every vector the kernels read.  Returns (ul, ul_stderr, dl, dl_stderr).
     """
-    (ul, ul_se), (dl, dl_se) = _simulate(draw, profile, cfg, system, csi, trials, seed)
+    st = estimation_stats(profile, cfg) if csi == "imperfect" else None
+    (ul, ul_se), (dl, dl_se) = _simulate(draw, profile, cfg, system, st, trials, seed)
     return ul, ul_se, dl, dl_se
 
 

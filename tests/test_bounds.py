@@ -8,7 +8,8 @@ from fdmimo import (HomogeneousConfig, LargeScaleProfile,
                     antenna_reduction_curve, asymptotic_gain_limits,
                     asymptotic_rates, closed_form_report, expand_homogeneous,
                     fd_gain, homogeneous_rates, prop1_rates, prop2_rates)
-from fdmimo.experiments import reference_schedule
+from fdmimo import bounds
+from fdmimo.experiments import experiment_tradeoff, reference_schedule
 
 from conftest import random_config, random_profile, uniform_mixed_profile
 from reference import (asymptotic_rates_loop, prop1_rates_loop, prop2_rates_loop,
@@ -259,6 +260,91 @@ def test_antenna_reduction_unreachable_flag(paper_homogeneous):
     pts = antenna_reduction_curve(paper_homogeneous, [100], "imperfect",
                                   gains=[50.0], M_max=10_000)
     assert not pts[0].reachable and pts[0].M_fd == 10_000
+
+
+def _scan_curve(h, csi, M_tdd, gains, M_max):
+    """The antenna-reduction points by exhaustive scan: for each gain g the
+    smallest M in [3, M_max] whose FD gain over TDD reaches g, or None."""
+    rep = closed_form_report(expand_homogeneous(h), h.system_config(M=M_tdd), csi,
+                             system="tdd")
+    se_tdd = float(rep.ul_se_per_cell.sum() + rep.dl_se_per_cell.sum()) / h.L
+    gain = [sum(homogeneous_rates(h, csi, M=m)) / se_tdd for m in range(3, M_max + 1)]
+    return [next((m for m, r in enumerate(gain, start=3) if r >= g), None)
+            for g in gains], gain
+
+
+def random_homogeneous(rng):
+    return HomogeneousConfig(
+        L=int(rng.integers(1, 12)), K=int(rng.integers(1, 9)),
+        beta=float(rng.uniform(0.02, 0.8)), M=64,
+        P_u=float(10 ** rng.uniform(-1, 2)), P_d=float(10 ** rng.uniform(0, 2.5)),
+        P_tr=float(10 ** rng.uniform(-1, 2)), kappa=float(10 ** rng.uniform(-7, -2)),
+        T=int(rng.integers(60, 400)))
+
+
+@pytest.mark.parametrize("csi", ["perfect", "imperfect"])
+def test_antenna_reduction_curve_matches_scan(csi):
+    """On random homogeneous networks every M_fd is the smallest M in
+    [3, M_max] whose predicate holds, found by a linear scan: for unsorted
+    and repeated gains (some below the gain at M = 3, some beyond M_max),
+    for M_tdd above M_max, and on the default grid, whose last gain is the
+    equal-antenna one and gives M_fd = M_tdd exactly."""
+    rng = np.random.default_rng(21)
+    for _ in range(16):
+        h = random_homogeneous(rng)
+        M_max = int(rng.integers(40, 1500))
+        M_tdd_list = [int(rng.integers(3, M_max)), M_max + 7]
+        for M_tdd in M_tdd_list:
+            _, gain = _scan_curve(h, csi, M_tdd, [], M_max)
+            gains = list(rng.uniform(gain[0], gain[-1], 4))
+            gains += [1.01 * gain[-1], gains[1], 0.99 * gain[0], gain[0],
+                      gain[min(M_tdd, M_max) - 3]]
+            want, _ = _scan_curve(h, csi, M_tdd, gains, M_max)
+            pts = antenna_reduction_curve(h, [M_tdd], csi, gains=gains, M_max=M_max)
+            assert [p.se_gain for p in pts] == gains
+            assert [(p.M_fd, p.reachable) for p in pts] == [
+                (M_max, False) if m is None else (m, True) for m in want]
+            assert {p.reachable for p in pts} == {True, False}
+        M_tdd = M_tdd_list[0]
+        pts = antenna_reduction_curve(h, [M_tdd], csi, M_max=M_max)
+        want, _ = _scan_curve(h, csi, M_tdd, [p.se_gain for p in pts], M_max)
+        assert [p.M_fd for p in pts] == want and want[-1] == M_tdd
+
+
+@pytest.mark.parametrize("gains", [[1.2, float("nan")], [float("inf")], [0.0], [1.1, -1.2]])
+def test_antenna_reduction_curve_rejects_gains(monkeypatch, paper_homogeneous, gains):
+    """A NaN gain used to give M_fd = M_max reachable, a negative one M_fd = 3;
+    every gain is now checked, by name, before any rate is evaluated."""
+    calls = []
+    monkeypatch.setattr(bounds, "homogeneous_rates", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="gains: finite positive"):
+        antenna_reduction_curve(paper_homogeneous, [100], "imperfect", gains=gains)
+    assert calls == []
+
+
+@pytest.mark.parametrize("M_max", [2, 0, 50.0, True])
+def test_antenna_reduction_curve_rejects_m_max(paper_homogeneous, M_max):
+    with pytest.raises(ValueError, match="M_max: integer M_max >= 3"):
+        antenna_reduction_curve(paper_homogeneous, [100], "perfect", gains=[1.1],
+                                M_max=M_max)
+
+
+@pytest.mark.parametrize("csi,calls", [("imperfect", 102), ("perfect", 112)])
+def test_tradeoff_call_budget(monkeypatch, paper_homogeneous, csi, calls):
+    """homogeneous_rates calls of the default tradeoff experiment (M_tdd 100,
+    200, 400, 800, the 8-gain grid, M_max = 10^7).  Each M is evaluated once
+    per curve and the search from M_tdd needs a few probes per point; a
+    blind bisection over [3, 10^7] made 784 (imperfect) and 783 (perfect)."""
+    count = []
+    real = bounds.homogeneous_rates
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "homogeneous_rates", counting)
+    experiment_tradeoff(paper_homogeneous, [100, 200, 400, 800], csi)
+    assert len(count) == calls
 
 
 def test_reference_schedule_anchor(paper_homogeneous):

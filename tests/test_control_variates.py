@@ -53,7 +53,7 @@ def test_control_means_match_plain_averages(case, system, csi, small_profile,
         prof, cfg, trials = small_profile, small_config.replace(M=3), 9600
     sampler = _TrialSampler(prof, cfg, csi == "imperfect", system == "tdd")
     runs = kernel_trials(sampler.draw, prof, cfg, csi, trials, [41, len(case)])
-    for link, (_, x), mu in zip(("ul", "dl"), runs, _control_means(prof, cfg, system, csi)):
+    for link, (_, x), mu in zip(("ul", "dl"), runs, _control_means(prof, cfg, system, sampler.st)):
         assert x.shape[1:] == mu.shape
         z = (x.mean(axis=0) - mu) / (x.std(axis=0, ddof=1) / math.sqrt(trials))
         assert np.abs(z).max() < 4.5, f"{link}: max |z| {np.abs(z).max():.2f}"

@@ -141,6 +141,15 @@ def test_cli_tradeoff(tmp_path):
     assert "antenna_reduction" in out.read_text().splitlines()[0]
 
 
+def test_cli_tradeoff_rejects_nan_gain(tmp_path, capsys):
+    """A NaN gain used to write a reachable row at M_fd = 10^7 and exit 0."""
+    out = tmp_path / "t.csv"
+    rc = main(["tradeoff", "--m-tdd-list", "100", "--gains", "nan,1.2",
+               "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: gains")
+
+
 def test_cli_rejects_invalid_config(tmp_path, capsys):
     rc = main(["rates", "--cells", "2", "--users", "2", "--antennas", "8",
                "--trials", "8", "--kappa-db", "3.0", "--out",

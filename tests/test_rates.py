@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fdmimo import (LargeScaleProfile, SystemConfig, dl_rates_fd_imperfect,
-                    expand_homogeneous, fd_rates_mc, overheads, prop1_rates,
-                    prop2_rates, tdd_rates_mc, validate)
+from fdmimo import (LargeScaleProfile, SystemConfig, closed_form_report,
+                    dl_rates_fd_imperfect, expand_homogeneous, fd_rates_mc,
+                    overheads, prop1_rates, prop2_rates, tdd_rates_mc, validate)
+from fdmimo import bounds, rates
 from fdmimo.channel import draw_cn, trial_rng
+from fdmimo.estimation import estimation_stats
 from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _mc_rates,
                           per_cell_factors)
 from fdmimo.scenario import ScenarioParams, run_drop
@@ -346,3 +348,26 @@ def test_valid_configs_give_finite_rates(L, K_f, K_h_u, K_h_d, M, log_powers,
                         tdd_rates_mc(prof, cfg, csi, 16, seed)):
                 for a in (rep.ul_rates, rep.dl_rates, rep.ul_stderr, rep.dl_stderr):
                     assert np.isfinite(a).all()
+
+
+@pytest.mark.parametrize("system", ["fd", "tdd"])
+@pytest.mark.parametrize("csi", ["perfect", "imperfect"])
+def test_estimation_stats_once_per_call(monkeypatch, small_profile, small_config,
+                                        system, csi):
+    """One Monte Carlo call and one closed-form report each compute the MMSE
+    statistics once with estimated CSI and never with perfect CSI.  They used
+    to be recomputed by every helper: 7 times per fd/imperfect Monte Carlo
+    call, 5 per tdd/imperfect one and 3 per prop2_rates."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return estimation_stats(*args)
+
+    for module in (rates, bounds):
+        monkeypatch.setattr(module, "estimation_stats", counting)
+    want = int(csi == "imperfect")
+    _mc_rates(small_profile, small_config, system, csi, 64, [5])
+    assert len(calls) == want
+    closed_form_report(small_profile, small_config, csi, system=system)
+    assert len(calls) == 2 * want
