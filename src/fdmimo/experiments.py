@@ -148,7 +148,8 @@ def experiment_tradeoff(h: HomogeneousConfig, M_tdd_list, csi,
     rows = [{"M_tdd": p.M_tdd, "M_fd": p.M_fd, "se_gain": p.se_gain,
              "antenna_reduction": p.antenna_reduction, "reachable": p.reachable}
             for p in pts]
-    digest = config_digest({"h": h, "M_tdd_list": list(M_tdd_list), "csi": csi})
+    digest = config_digest({"h": h, "M_tdd_list": list(M_tdd_list), "csi": csi,
+                            "gains": None if gains is None else list(gains)})
     return ExperimentResult("tradeoff", digest, seed, rows)
 
 

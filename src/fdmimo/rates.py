@@ -57,7 +57,11 @@ result is bit-identical to one computed in fresh arrays.
 
 Each simulated rate is a control-variate estimate.  Besides its log-rate,
 a kernel returns per-trial controls, powers it forms anyway, whose means
-are exact closed forms (:func:`_control_means`); :mod:`fdmimo.crossfit`
+are exact closed forms (:func:`_control_means`).  The simulated
+estimated-CSI downlink's own-gain spread log|own - Emu|^2 is one of them:
+its mean is a closed form plus one expectation over X ~ Gamma(M), a
+trapezoid rule in the log of its argument (:func:`_ein_gamma_mean`), run
+once per call that simulates that downlink.  :mod:`fdmimo.crossfit`
 regresses the log-rates on them with two-fold cross-fitting.  The estimate
 stays unbiased and a pure function of the seed, and its stderr is that of
 the regression residuals, far below that of the log-rates themselves.
@@ -65,6 +69,7 @@ the regression residuals, far below that of the log-rates themselves.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -263,7 +268,8 @@ class _TrialSampler:
         self.iw, self.iv = slice(K_u), np.r_[:K_f, K_u:K_u + K_d - K_f]
         if tdd:     # an FD user's two slots observe one set of channels: one group
             cd = cfg.P_tr * bd[jj, jj, :K_f] / st.lam_d[:, :K_f]
-            kinds = [(beta[..., :K_f], [c[:, :K_f], cd]), (beta[..., K_f:], [c[:, K_f:]])]
+            kinds = [(beta[..., :K_f], [c[:, :K_f], cd])] if K_f else []
+            kinds.append((beta[..., K_f:], [c[:, K_f:]]))
             self.iw = np.r_[:2 * K_f:2, 2 * K_f:K_f + K_u]
             self.iv = np.r_[1:2 * K_f:2, K_f + K_u:K_u + K_d]
         for beta, cs in kinds:
@@ -314,7 +320,9 @@ class _TrialSampler:
                 g2 = rng.standard_gamma(M - r, size=(B, L, G, L))
                 g2 *= res
                 g2 += (np.abs(chan) ** 2).sum(axis=3)
-                norms.append(np.repeat(g2, D, axis=2))
+                # With D = 1 np.repeat would only copy g2, 0.7 MB a batch on
+                # a drop, enough to make glibc trim and refault the heap.
+                norms.append(g2 if D == 1 else np.repeat(g2, D, axis=2))
             del X, chan
         prod = _cat(prod)
         W2, Wg = _cat(nrm2)[..., self.iw], prod[:, :, self.iw]
@@ -414,7 +422,9 @@ def _batch_dl_logrates(d, profile, cfg, coef):
     SINR denominator then has the mean of :func:`dl_rates_fd_imperfect`, so
     by Jensen this simulates a rate above that bound, which
     :func:`fd_rates_mc` reports for fd/imperfect.  The controls are
-    log|own gain|^2 without Emu, then D, the SINR denominator less noise.
+    log|own gain|^2 without Emu, then D, the SINR denominator less noise;
+    with Emu, D and then the log own-gain spread log|own - Emu|^2, on which
+    the log-rate bends most.
     """
     own = d["own"]                                              # (B, l, k)
     B, L, K_d = own.shape
@@ -426,9 +436,10 @@ def _batch_dl_logrates(d, profile, cfg, coef):
         D[..., :K_f] += cfg.kappa * cfg.P_u * np.einsum(
             "lklk->lk", profile.beta_I[:, :K_f, :, :K_f])
     if "Emu" in d:
-        D = D + c * np.abs(own - d["Emu"]) ** 2
+        spread = np.abs(own - d["Emu"]) ** 2
+        D = D + c * spread
         sinr = c * d["Emu"] ** 2 / (D + cfg.sigma2_dl)
-        ctrl = [D]
+        ctrl = [D, np.log(spread)]
     else:
         own2 = np.abs(own) ** 2
         sinr = c * own2 / (D + cfg.sigma2_dl)
@@ -445,10 +456,62 @@ def _digamma(n: int) -> float:
             - 1 / (252 * n ** 6))
 
 
-def _control_means(profile, cfg, system, st):
-    """Exact means of the kernels' controls: uplink (L, K_u, p_ul) and
-    downlink (L, K_d, p_dl), in the kernels' order; ``st`` is the profile's
-    MMSE statistics with estimated CSI, None with perfect CSI.
+_EIN_STEP = 0.3             # the rule's step h in s = ln x
+_EIN_TABLE = (-150, 13)     # k of its tabulated nodes x = e^{k h}: 3e-20 to 49
+
+
+@functools.cache
+def _ein_table():
+    """Ein(x) = int_0^1 -expm1(-x t) dt / t at the tabulated nodes, by
+    64-point Gauss-Legendre, exact to rounding for x < 50.  Below them
+    Ein(x) = x, above them gamma + ln x, both to rounding."""
+    t, w = np.polynomial.legendre.leggauss(64)
+    t, w = (t + 1) / 2, w / 2
+    x = np.exp(np.arange(_EIN_TABLE[0], _EIN_TABLE[1] + 1) * _EIN_STEP)
+    return -np.expm1(-np.outer(x, t)) / t @ w
+
+
+def _ein_gamma_mean(M, kappa):
+    """E Ein(kappa (X - M)^2 / X) over X ~ Gamma(M), for each entry of
+    ``kappa`` > 0, to about 1e-12; Ein(x) = gamma + ln x + E1(x) is entire.
+
+    In v = ln(X/M), x = 4 kappa M sinh^2(v/2) dips to 0 at v = 0, over a
+    width 1/sqrt(kappa) of the density's, so the rule is the trapezoid
+    rule in s = ln x (Trefethen & Weideman, SIAM Rev. 56(3), 2014), whose
+    nodes cluster at v = 0 geometrically.  With w = sinh(|v|/2) and
+    rho = e^{|v|/2} = w + sqrt(1 + w^2), the two points X = M rho^{+-2}
+    have v-densities exp(c - 2M(w rho - ln rho)) and
+    exp(c + 2M(w / rho - ln rho)), c = M ln M - M - ln Gamma(M), and
+    d|v|/ds = tanh(|v|/2).  Every user shares the nodes s = k h and their
+    Ein values (:func:`_ein_table`), which span the users' integrands down
+    to about e^-32: their left tails fall as x^{3/2}, their right ones as
+    the density.
+    """
+    h, (k0, k1), T = _EIN_STEP, _EIN_TABLE, 32.0
+    kappa = np.asarray(kappa, float)
+    kM = (kappa * M).reshape(-1, 1)
+    c = M * math.log(M) - M - math.lgamma(M)
+    t = (T + 0.5 * math.log(M)) / M
+    v_hi = t + math.sqrt(2 * t)         # e^-v - 1 + v >= t there: density below e^-T
+    s_lo = (0.5 * math.log(kM.min()) - c - T) / 1.5
+    s_hi = math.log(kM.max()) + 2 * math.log(2 * math.sinh(v_hi / 2))
+    k = np.arange(math.floor(s_lo / h), math.ceil(s_hi / h) + 1)
+    s = k * h
+    ein = np.where(k < k0, np.exp(s), np.where(
+        k > k1, np.euler_gamma + s, _ein_table()[np.clip(k - k0, 0, k1 - k0)]))
+    w = np.exp(s / 2) / (2 * np.sqrt(kM))
+    r = np.sqrt(1 + w * w)
+    rho = w + r
+    ln_rho = np.log(rho)
+    dens = (np.exp(c - 2 * M * (w * rho - ln_rho))
+            + np.exp(c + 2 * M * (w / rho - ln_rho)))
+    return (h * (dens * (w / r)) @ ein).reshape(kappa.shape)
+
+
+def _control_means(profile, cfg, system, st, dl=True):
+    """Exact means of the kernels' controls: uplink (L, K_u, p_ul) and, if
+    ``dl``, downlink (L, K_d, p_dl), in the kernels' order; ``st`` is the
+    profile's MMSE statistics with estimated CSI, None with perfect CSI.
 
     A combiner w is CN(0, v I_M), v its serving gain or, with estimated CSI,
     its estimate's variance, so E log|w|^2 = ln v + psi(M).  A channel
@@ -461,7 +524,13 @@ def _control_means(profile, cfg, system, st):
     is |g|^2, so E log|own|^2 = 2(ln beta_d[l, l, k] + psi(M)), and
     E|g|^4 = M(M + 1) beta^2 leaves E[D] = P_d sum_j beta_d[j, l, k]
     - coef M beta_d[l, l, k]^2 + the UE-UE interference.  With estimated
-    CSI, E[D] is the interference of :func:`dl_rates_fd_imperfect`.
+    CSI, E[D] is the interference of :func:`dl_rates_fd_imperfect`.  The
+    precoder is the estimate of g, CN(0, a I_M), and the rest of g is its
+    error, CN(0, e I_M), a = est_var_d and e = err_var_d.  So with
+    X ~ Gamma(M) and eta ~ CN(0, 1), own - Emu = a (X - M) + sqrt(a e X) eta,
+    and since E ln|mu + eta|^2 = Ein(|mu|^2) - gamma,
+    E log|own - Emu|^2 = ln(a e) + psi(M) - gamma
+    + E Ein(kappa (X - M)^2 / X), kappa = a / e (:func:`_ein_gamma_mean`).
     """
     L, M = profile.L, cfg.M
     jj, off = np.arange(L), 1 - np.eye(L)
@@ -477,6 +546,8 @@ def _control_means(profile, cfg, system, st):
     if system == "fd":
         bsbs = cfg.P_d * (off * profile.beta_b).sum(axis=1)
         ul.append(np.broadcast_to(bsbs[:, None], inter.shape))
+    if not dl:
+        return [np.stack(ul, axis=-1)]
     if st is None:
         own = bd[jj, jj]
         coef = _cell_factors(profile, cfg, None)[:, None]
@@ -484,8 +555,10 @@ def _control_means(profile, cfg, system, st):
               cfg.P_d * bd.sum(axis=0) - coef * M * own ** 2
               + ue_interference(profile, cfg, system)]
     else:
-        dl = [_uatf_terms(profile, cfg, system, st)[1]]
-    return np.stack(ul, axis=-1), np.stack(dl, axis=-1)
+        a, e = st.est_var_d, st.err_var_d
+        dl = [_uatf_terms(profile, cfg, system, st)[1],
+              np.log(a * e) + psi - np.euler_gamma + _ein_gamma_mean(M, a / e)]
+    return [np.stack(ul, axis=-1), np.stack(dl, axis=-1)]
 
 
 def _check_config(cfg, closed_forms=False):
@@ -517,13 +590,13 @@ def _simulate(draw, profile, cfg, system, st, trials, seed):
     estimate is unbiased and a pure function of the seed.  Only the folds'
     moment sums are kept, and the stderr is that of the residuals y - b x.
     """
-    coef = _cell_factors(profile, cfg, st)
-    mu = _control_means(profile, cfg, system, st)
+    coef, mu = _cell_factors(profile, cfg, st), None
     folds = [None, None]                    # per link
     for t, done in enumerate(range(0, trials, _BATCH)):
         d = draw(trial_rng(seed, t), min(_BATCH, trials - done))
-        kernels = (_batch_ul_logrates, _batch_dl_logrates)[:1 + ("Pd" in d)]
-        for i, (kernel, m) in enumerate(zip(kernels, mu)):
+        if mu is None:      # the downlink's only if the blocks hold it
+            mu = _control_means(profile, cfg, system, st, dl="Pd" in d)
+        for i, (kernel, m) in enumerate(zip((_batch_ul_logrates, _batch_dl_logrates), mu)):
             y, x = kernel(d, profile, cfg, coef)
             # Every batch starts at an even trial, since _BATCH is even.
             folds[i] = accumulate(folds[i], np.concatenate([x - m, y[..., None]], axis=-1))

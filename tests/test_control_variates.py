@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from fdmimo import ScenarioParams, expand_homogeneous, profile_from_topology
 from fdmimo.crossfit import accumulate, crossfit
-from fdmimo.rates import _control_means, _digamma, _mc_rates, _TrialSampler
+from fdmimo.rates import (_control_means, _digamma, _ein_gamma_mean, _mc_rates,
+                          _TrialSampler)
 from fdmimo.scenario import drop_topology
 
 from reference import kernel_trials
@@ -37,26 +39,58 @@ def test_digamma_series_meets_harmonic_sum():
 
 
 @pytest.mark.parametrize("system,csi", MODES)
-@pytest.mark.parametrize("case", ["paper", "mixed-M3"])
+@pytest.mark.parametrize("case", ["paper", "mixed-M3", "drop-M20", "drop-M100"])
 def test_control_means_match_plain_averages(case, system, csi, small_profile,
                                             small_config, paper_homogeneous):
     """Every closed-form control mean against a plain Monte Carlo average of
     its control, within 4.5 stderr, for every user: on the paper's
-    seven-cell config, and on a mixed FD/HD profile at M = 3, below the
-    number of each BS's precoders (K_d = 4).  With estimated CSI the
-    downlink control's mean is the interference of dl_rates_fd_imperfect, so
-    this is also a two-sided moment check of Proposition 2's downlink."""
+    seven-cell config, on a mixed FD/HD profile at M = 3, below the number
+    of each BS's precoders (K_d = 4), and on a small-cell drop at M = 20 and
+    M = 100, whose estimation gain ratios kappa span 10 to 2e5.  With
+    estimated CSI the downlink's first control mean is the interference of
+    dl_rates_fd_imperfect, so this is also a two-sided moment check of
+    Proposition 2's downlink; its second, E log|own - Emu|^2, checks the
+    law of the own gain that the mean is derived from."""
     if case == "paper":
         prof = expand_homogeneous(paper_homogeneous)
         cfg, trials = paper_homogeneous.system_config(), 3200
-    else:
+    elif case == "mixed-M3":
         prof, cfg, trials = small_profile, small_config.replace(M=3), 9600
+    else:
+        prof, cfg = drop_profile()
+        cfg, trials = cfg.replace(M=int(case[6:])), 6400
     sampler = _TrialSampler(prof, cfg, csi == "imperfect", system == "tdd")
     runs = kernel_trials(sampler.draw, prof, cfg, csi, trials, [41, len(case)])
     for link, (_, x), mu in zip(("ul", "dl"), runs, _control_means(prof, cfg, system, sampler.st)):
         assert x.shape[1:] == mu.shape
         z = (x.mean(axis=0) - mu) / (x.std(axis=0, ddof=1) / math.sqrt(trials))
         assert np.abs(z).max() < 4.5, f"{link}: max |z| {np.abs(z).max():.2f}"
+
+
+def ein_gamma_mean_oracle(M, kappa):
+    """E Ein(kappa (X - M)^2 / X) over X ~ Gamma(M) by adaptive quadrature,
+    split at X = M and at the dip's edges M +- sqrt(M / kappa)."""
+    def f(x):
+        y = kappa * (x - M) ** 2 / x
+        ein = y - y * y / 4 if y < 1e-6 else np.euler_gamma + math.log(y) + special.exp1(y)
+        return ein * math.exp((M - 1) * math.log(x) - x - math.lgamma(M))
+    d = math.sqrt(M / kappa)
+    edges = [0.0, max(M - d, M / 2), M, M + d, M + 60 * math.sqrt(M) + 60]
+    return math.fsum(integrate.quad(f, a, b, limit=500, epsabs=1e-14, epsrel=1e-13)[0]
+                     for a, b in zip(edges, edges[1:]) if b > a)
+
+
+@pytest.mark.parametrize("M", [1, 3, 20, 100, 300])
+def test_ein_gamma_mean_meets_quadrature(M):
+    """The downlink spread control's numeric part, a trapezoid rule in
+    ln x on shared nodes, against scipy's adaptive quadrature with exp1,
+    to 1e-9 for kappa from 1e-6 to 1e6, all in one call as in a drop."""
+    kappa = np.logspace(-6, 6, 25)
+    want = np.array([ein_gamma_mean_oracle(M, k) for k in kappa])
+    got = _ein_gamma_mean(M, kappa)
+    assert got.shape == kappa.shape
+    assert np.abs(got - want).max() < 1e-9
+    assert _ein_gamma_mean(M, kappa[12:13])[0] == pytest.approx(want[12], abs=1e-9)
 
 
 def test_crossfit_recovers_a_linear_model():

@@ -66,6 +66,14 @@ def test_tradeoff_rows(tiny_h):
     assert res.rows[0]["M_fd"] <= res.rows[1]["M_fd"]
 
 
+def test_tradeoff_digest_names_the_gains(tiny_h):
+    """Two gain lists, and the default grid, give three digests; one list
+    given twice gives one."""
+    digests = [experiment_tradeoff(tiny_h, [50], "imperfect", gains=g).config_digest
+               for g in ([1.1], [1.3], None, [1.1])]
+    assert len(set(digests[:3])) == 3 and digests[3] == digests[0]
+
+
 def test_rates_experiment_has_gain_aggregates(tiny_h):
     res = experiment_rates(tiny_h, "perfect", 64, 0)
     classes = {a["class"] for a in res.aggregates}

@@ -114,9 +114,10 @@ def test_every_source_feeds_an_output(small_profile, small_config, system, csi):
     vector is a combiner or a precoder.  With FD training every group is one
     slot: 3 uplink users' then 2 HD downlink users' in the mixed network
     (K_f = 2), 4 and 5 all-HD.  With TDD pilots an FD user's two slots form
-    one group of 5 sources and span 2.  Perfect CSI has no groups."""
+    one group of 5 sources and span 2; with no FD user there is no such
+    group.  Perfect CSI has no groups."""
     shapes = {"fd": {"mixed": [(5, 4, 1)], "hd": [(9, 4, 1)]},
-              "tdd": {"mixed": [(2, 5, 2), (3, 4, 1)], "hd": [(0, 5, 2), (9, 4, 1)]}}
+              "tdd": {"mixed": [(2, 5, 2), (3, 4, 1)], "hd": [(9, 4, 1)]}}
     for case in ("mixed", "hd"):
         p, cfg = profile_case(case, small_profile, small_config)
         sampler = _TrialSampler(p, cfg, csi == "imperfect", system == "tdd")
