@@ -17,18 +17,9 @@ import numpy as np
 from .config import (HomogeneousConfig, LargeScaleProfile, PowerScalingSchedule,
                      SystemConfig, _is_integer, expand_homogeneous)
 from .estimation import estimation_stats
-from .rates import (RateReport, _check_inputs, _check_mode, _uatf_rates,
-                    overheads, per_cell_factors, ue_interference)
-
-
-def _bs_interference(profile: LargeScaleProfile, cfg: SystemConfig,
-                     system: str):
-    """Mean BS-BS interference plus residual self-interference at each BS,
-    (L, 1); TDD has none."""
-    if system == "tdd":
-        return 0.0
-    bb, own = profile.beta_b, np.diag(profile.beta_b)
-    return (cfg.P_d * (bb.sum(axis=1) - own) + cfg.kappa * cfg.P_d * own)[:, None]
+from .rates import (RateReport, _bsbs_mean, _check_inputs, _check_mode,
+                    _dl_power, _si_bs, _uatf_rates, _ul_gains, overheads,
+                    per_cell_factors)
 
 
 def prop1_rates(profile: LargeScaleProfile, cfg: SystemConfig,
@@ -40,18 +31,14 @@ def prop1_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     _check_mode(system=system)
     _check_inputs(profile, cfg, closed_forms=True)
     M, jj = cfg.M, np.arange(profile.L)
-    bu, bd = profile.beta_u, profile.beta_d
-    own_u, own_d = bu[jj, jj], bd[jj, jj]                       # (L, K)
-
-    I_up = cfg.P_u * (bu.sum(axis=(1, 2))[:, None] - own_u)
-    num = cfg.P_u * (M - 1) * own_u
-    ul = np.log2(1.0 + num / (I_up + _bs_interference(profile, cfg, system)
-                              + cfg.sigma2))
+    own_u, own_d = profile.beta_u[jj, jj], profile.beta_d[jj, jj]   # (L, K)
+    bs = (_bsbs_mean(profile, cfg) + _si_bs(profile, cfg))[:, None] if system == "fd" else 0.0
+    ul = np.log2(1.0 + cfg.P_u * (M - 1) * own_u
+                 / (cfg.P_u * _ul_gains(profile)[0] + bs + cfg.sigma2))
 
     coef = per_cell_factors(profile, cfg, "perfect")[:, None]
     I_down = coef * (M - 2) * own_d * (own_d.sum(axis=1, keepdims=True) - own_d)
-    I_down += cfg.P_d * (bd.sum(axis=0) - own_d)
-    I_down += ue_interference(profile, cfg, system)
+    I_down += _dl_power(profile, cfg, system) - cfg.P_d * own_d
     num = coef * (M - 1) * (M - 2) * own_d ** 2
     dl = np.log2(1.0 + num / (I_down + cfg.sigma2_dl))
     return ul, dl
@@ -61,25 +48,18 @@ def prop2_rates(profile: LargeScaleProfile, cfg: SystemConfig,
                 system: str = "fd"):
     """Lower bounds on the ergodic rates under MMSE-estimated CSI.
 
-    The downlink is :func:`fdmimo.rates.dl_rates_fd_imperfect`, the bound
-    the Monte Carlo driver also reports.
+    Uplink SINR: P_u (M - 1) a / (P_u (I + e + M P_tr C / lam_u) + B + sigma2),
+    a and e the estimate's and error's variances, I and C from
+    :func:`fdmimo.rates._ul_gains`, B the BS-BS and self-interference.  The downlink is
+    :func:`fdmimo.rates.dl_rates_fd_imperfect`, which the MC driver reports.
     """
     _check_mode(system=system)
     _check_inputs(profile, cfg, closed_forms=True)
-    M, P_u, P_tr, s2 = cfg.M, cfg.P_u, cfg.P_tr, cfg.sigma2
-    jj = np.arange(profile.L)
-    bu = profile.beta_u                                         # (j, l, n)
-    st = estimation_stats(profile, cfg)
-    own = bu[jj, jj]
-    pilot = bu.sum(axis=1)                                      # sum_l bu[j, l, n]
-
-    est_err = P_u * own * (s2 + P_tr * (pilot - own))
-    contam = P_tr * P_u * ((M + 1) * bu ** 2 + (pilot[:, None] - bu) * bu + bu * s2 / P_tr)
-    contam[jj, jj] = 0.0
-    other = P_u * (bu.sum(axis=(1, 2))[:, None] - pilot)
-    N_t = st.lam_u * (other + _bs_interference(profile, cfg, system) + s2)
-    num = P_tr * P_u * (M - 1) * own ** 2
-    ul = np.log2(1.0 + num / (est_err + contam.sum(axis=1) + N_t))
+    M, P_u, st = cfg.M, cfg.P_u, estimation_stats(profile, cfg)
+    inter, contam = _ul_gains(profile)
+    bs = (_bsbs_mean(profile, cfg) + _si_bs(profile, cfg))[:, None] if system == "fd" else 0.0
+    den = P_u * (inter + st.err_var_u + M * cfg.P_tr * contam / st.lam_u) + bs + cfg.sigma2
+    ul = np.log2(1.0 + P_u * (M - 1) * st.est_var_u / den)
     return ul, _uatf_rates(profile, cfg, system, st)
 
 

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import antenna_reduction_curve, fd_gain, homogeneous_rates
-from .config import (HomogeneousConfig, PowerScalingSchedule, config_digest,
-                     expand_homogeneous)
-from .rates import (_CSI_MODES, RateReport, _check_config, fd_rates_mc,
-                    overheads, tdd_rates_mc)
+from .config import (HomogeneousConfig, PowerScalingSchedule, _check_config,
+                     _is_integer, config_digest, expand_homogeneous)
+from .rates import _CSI_MODES, RateReport, fd_rates_mc, overheads, tdd_rates_mc
 from .scenario import ScenarioParams, run_drop
 
 
@@ -102,8 +101,8 @@ def experiment_tightness(h: HomogeneousConfig, M_list, trials, seed) -> Experime
 
 def reference_schedule(h: HomogeneousConfig, csi: str, m_ref: int = 64) -> PowerScalingSchedule:
     """Scaling schedule whose powers equal the nominal config at M = m_ref."""
-    if m_ref < 1:
-        raise ValueError(f"m_ref must be at least 1, got {m_ref}")
+    if not (_is_integer(m_ref) and m_ref >= 1):
+        raise ValueError(f"m_ref must be an integer of at least 1, got {m_ref!r}")
     if csi == "perfect":
         f = float(m_ref)
         law = "perfect_csi_1_over_M"
@@ -164,8 +163,8 @@ def _scenario_sweep(name, params: ScenarioParams, sweep, drops, seed, trials):
     efficiencies and as per-drop ratios (mean and confidence interval), so
     either averaging convention is inspectable.
     """
-    if drops < 1:
-        raise ValueError(f"drops must be at least 1, got {drops}")
+    if not (_is_integer(drops) and drops >= 1):
+        raise ValueError(f"drops must be an integer of at least 1, got {drops!r}")
     for M, kdb in sweep:        # every point before any drop runs
         _check_config(params.system_config(M, kdb))
     rows, aggregates = [], []

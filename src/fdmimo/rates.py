@@ -37,6 +37,11 @@ products an SINR reads pilot group by pilot group (:class:`_TrialSampler`):
   |z|^2 sum_i sigma_i^2 Exp(1), |z|^2 ~ Gamma(M), exact for every M.  UE-UE
   channels are powers, beta_I Exp(1) (0 at an FD user's own pair, cancelled).
 
+Each SINR term has one helper, which the sampler, the kernels, the control
+means and the closed forms all read: :func:`_si_bs`, :func:`_si_ue`,
+:func:`_ue_gains`, :func:`_bsbs_mean`, :func:`_ul_gains`, :func:`_dl_power`
+and :func:`_precoder_var`.
+
 What one SINR reads at one BS is jointly exact or independent given the
 vector it conditions on, and BSs see independent channels, so every
 per-user rate has the law of the M-vector model.  The joint law across
@@ -79,17 +84,15 @@ import numpy as np
 
 from .channel import draw_cn, trial_rng
 from .crossfit import accumulate, crossfit
-from .config import LargeScaleProfile, SystemConfig, _is_integer, validate
+from .config import LargeScaleProfile, SystemConfig, _check_config, _is_integer
 from .estimation import estimation_stats
 
 
 def per_cell_factors(profile: LargeScaleProfile, cfg: SystemConfig,
                      csi: str) -> np.ndarray:
-    """Conjugate-beamforming power coefficient P_d / (K_d gamma) of each
-    cell, (L,), so BS l radiates P_d on average (Ngo, Larsson & Marzetta 2013).
-
-    gamma = M sum_k beta_d[l,l,k] / K_d with perfect CSI; with estimated CSI
-    it is gamma_tilde = (M/K_d) sum_k P_tr beta_d[l,l,k]^2 / lam_d[l,k].
+    """Conjugate-beamforming power coefficient P_d / (M sum_k var_v) of
+    each cell, (L,), so BS l radiates P_d on average (Ngo, Larsson & Marzetta
+    2013); var_v is each precoder's variance per antenna (:func:`_precoder_var`).
     """
     _check_mode(csi=csi)
     return _cell_factors(profile, cfg,
@@ -99,12 +102,61 @@ def per_cell_factors(profile: LargeScaleProfile, cfg: SystemConfig,
 def _cell_factors(profile, cfg, st):
     """:func:`per_cell_factors` given the MMSE statistics ``st`` of the
     profile with estimated CSI, or None with perfect CSI."""
-    own = profile.beta_d[np.arange(profile.L), np.arange(profile.L)]   # (L, K_d)
-    if st is None:
-        gamma = cfg.M * own.sum(axis=1) / profile.K_d
-    else:
-        gamma = cfg.M * cfg.P_tr * (own ** 2 / st.lam_d).sum(axis=1) / profile.K_d
-    return cfg.P_d / (profile.K_d * gamma)
+    return cfg.P_d / (cfg.M * _precoder_var(profile, st).sum(axis=1))
+
+
+def _precoder_var(profile, st):
+    """Each precoder's variance per antenna, (L, K_d): beta_d[l, l, k], or
+    with estimated CSI (``st`` the MMSE statistics) P_tr beta_d^2 / lam_d."""
+    jj = np.arange(profile.L)
+    return profile.beta_d[jj, jj] if st is None else st.est_var_d
+
+
+def _si_bs(profile, cfg):
+    """Residual self-interference at each FD BS, kappa P_d beta_b[j, j], (L,)."""
+    return cfg.kappa * cfg.P_d * profile.beta_b.diagonal()
+
+
+def _si_ue(profile, cfg):
+    """Residual self-interference at each downlink user, (L, K_d):
+    kappa P_u beta_I[l, k, l, k] at an FD user (k < K_f), 0 at an HD one."""
+    K_f, si = profile.K_f, np.zeros(profile.beta_d.shape[1:])
+    si[:, :K_f] = cfg.kappa * cfg.P_u * np.einsum("lklk->lk", profile.beta_I[:, :K_f, :, :K_f])
+    return si
+
+
+def _ue_gains(profile):
+    """The UE-UE gains beta_I (l, k, j, n), 0 at an FD user's own pair,
+    which it cancels down to :func:`_si_ue`."""
+    gains = profile.beta_I.copy()
+    np.einsum("lklk->lk", gains[:, :profile.K_f, :, :profile.K_f])[...] = 0.0
+    return gains
+
+
+def _bsbs_mean(profile, cfg):
+    """Mean BS-BS power at each BS, P_d sum_{l != j} beta_b[j, l], (L,), by a
+    masked sum: the diagonal can exceed the rest of its row a millionfold."""
+    return cfg.P_d * ((1 - np.eye(profile.L)) * profile.beta_b).sum(axis=1)
+
+
+def _ul_gains(profile):
+    """Masked sums at BS j for uplink user n of cell j, (L, K_u): every other
+    user's gain, and its pilot-sharers' squared gains (pilot contamination)."""
+    bu, jj = profile.beta_u, np.arange(profile.L)
+    other = bu.copy()
+    other[jj, jj] = 0.0                                 # the other cells' users
+    return (other.sum(axis=(1, 2))[:, None] + bu[jj, jj] @ (1 - np.eye(profile.K_u)),
+            (other ** 2).sum(axis=1))
+
+
+def _dl_power(profile, cfg, system):
+    """Mean power at each downlink user, (L, K_d), of all beams,
+    P_d sum_j beta_d[j, l, k], and with system="fd" of the uplink users:
+    P_u times :func:`_ue_gains`, plus :func:`_si_ue`."""
+    power = cfg.P_d * profile.beta_d.sum(axis=0)
+    if system == "fd":
+        power += cfg.P_u * _ue_gains(profile).sum(axis=(2, 3)) + _si_ue(profile, cfg)
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +300,12 @@ class _TrialSampler:
         self.profile, self.cfg, self.tdd, self.dl = profile, cfg, tdd, dl
         L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
         jj, bu, bd = np.arange(L), profile.beta_u, profile.beta_d
-        self.ue_gain = profile.beta_I.copy()    # each FD user cancels its own
-        np.einsum("lklk->lk", self.ue_gain[:, :K_f, :, :K_f])[...] = 0.0
-        self.var_v = bd[jj, jj]                 # each precoder's, per antenna
-        self.groups, self.st = [], None
+        self.ue_gain, self.groups = _ue_gains(profile), []
+        self.st = st = estimation_stats(profile, cfg) if need_est else None
+        self.var_v = _precoder_var(profile, st)
         if not need_est:
             return
-        self.st = st = estimation_stats(profile, cfg)
-        self.var_v = st.est_var_d
-        # Mean own gain of each downlink user, E[v^H g] = M c beta.
-        self.Emu = cfg.M * cfg.P_tr * bd[jj, jj] ** 2 / st.lam_d
+        self.Emu = cfg.M * self.var_v       # each downlink user's mean own gain
         # Each slot's channel gains (j, l, slot) and MMSE gain (j, slot): the
         # uplink users', then the HD downlink users' (FD training: if dl).
         h = slice(K_f, K_d if dl or tdd else K_f)
@@ -405,7 +453,7 @@ def _batch_ul_logrates(d, profile, cfg, coef):
         to_rx = np.eye(L)[:, j] * (coef[l] * profile.beta_b[j, l])     # (j, (l, m))
         bsbs = to_rx @ d["Pb"].reshape(B, L * (L - 1), K_u)            # (B, j, n)
         denom = denom + nrm2 * bsbs
-        noise = noise + cfg.kappa * cfg.P_d * profile.beta_b.diagonal()[:, None]
+        noise = noise + _si_bs(profile, cfg)[:, None]
         ctrl.append(bsbs)
     sinr = cfg.P_u * nrm2 ** 2 / (denom + nrm2 * noise)
     return np.log2(1.0 + sinr), np.stack(ctrl, axis=-1)
@@ -431,10 +479,7 @@ def _batch_dl_logrates(d, profile, cfg, coef):
     c = coef[:, None]
     D = d["Pd"].reshape(B, L, K_d, L * K_d) @ np.repeat(coef, K_d)    # Pd: (B, l, k, j, i)
     if "F" in d:
-        K_f = profile.K_f
-        D = D + cfg.P_u * d["F"].sum(axis=(3, 4))
-        D[..., :K_f] += cfg.kappa * cfg.P_u * np.einsum(
-            "lklk->lk", profile.beta_I[:, :K_f, :, :K_f])
+        D = D + cfg.P_u * d["F"].sum(axis=(3, 4)) + _si_ue(profile, cfg)
     if "Emu" in d:
         spread = np.abs(own - d["Emu"]) ** 2
         D = D + c * spread
@@ -532,40 +577,26 @@ def _control_means(profile, cfg, system, st, dl=True):
     E log|own - Emu|^2 = ln(a e) + psi(M) - gamma
     + E Ein(kappa (X - M)^2 / X), kappa = a / e (:func:`_ein_gamma_mean`).
     """
-    L, M = profile.L, cfg.M
-    jj, off = np.arange(L), 1 - np.eye(L)
-    bu, bd = profile.beta_u, profile.beta_d
-    psi = _digamma(M)
-    inter = bu.sum(axis=(1, 2))[:, None] - bu[jj, jj]
+    M, psi, jj = cfg.M, _digamma(cfg.M), np.arange(profile.L)
+    inter, contam = _ul_gains(profile)
     if st is None:
-        ul = [np.log(bu[jj, jj]) + psi, inter]
+        ul = [np.log(profile.beta_u[jj, jj]) + psi, inter]
     else:
-        contam = (off[:, :, None] * bu ** 2).sum(axis=1)
         ul = [np.log(st.est_var_u) + psi,
               inter + (M - 1) * cfg.P_tr * contam / st.lam_u, st.err_var_u]
     if system == "fd":
-        bsbs = cfg.P_d * (off * profile.beta_b).sum(axis=1)
-        ul.append(np.broadcast_to(bsbs[:, None], inter.shape))
+        ul.append(np.broadcast_to(_bsbs_mean(profile, cfg)[:, None], inter.shape))
     if not dl:
         return [np.stack(ul, axis=-1)]
     if st is None:
-        own = bd[jj, jj]
+        own = profile.beta_d[jj, jj]
         coef = _cell_factors(profile, cfg, None)[:, None]
-        dl = [2 * (np.log(own) + psi),
-              cfg.P_d * bd.sum(axis=0) - coef * M * own ** 2
-              + ue_interference(profile, cfg, system)]
+        dl = [2 * (np.log(own) + psi), _dl_power(profile, cfg, system) - coef * M * own ** 2]
     else:
         a, e = st.est_var_d, st.err_var_d
         dl = [_uatf_terms(profile, cfg, system, st)[1],
               np.log(a * e) + psi - np.euler_gamma + _ein_gamma_mean(M, a / e)]
     return [np.stack(ul, axis=-1), np.stack(dl, axis=-1)]
-
-
-def _check_config(cfg, closed_forms=False):
-    """Reject a config that fails validate, naming every violation."""
-    res = validate(cfg, closed_forms=closed_forms)
-    if not res.ok:
-        raise ValueError("invalid config: " + "; ".join(res.violations))
 
 
 def _check_inputs(profile, cfg, closed_forms=False):
@@ -642,22 +673,6 @@ def tdd_rates_mc(profile, cfg, csi, trials, seed) -> RateReport:
 # Analytic downlink rate under imperfect CSI
 # ---------------------------------------------------------------------------
 
-def ue_interference(profile: LargeScaleProfile, cfg: SystemConfig,
-                    system: str):
-    """Mean UE-UE interference at each downlink user, (L, K_d).
-
-    Every uplink user's signal reaches the user, except that an FD user
-    cancels its own and keeps the residual kappa P_u beta_I.  TDD has none.
-    """
-    if system == "tdd":
-        return 0.0
-    L, K_f = profile.L, profile.K_f
-    ue = cfg.P_u * profile.beta_I.sum(axis=(2, 3))
-    ll, kk = np.ix_(np.arange(L), np.arange(K_f))
-    ue[:, :K_f] -= (1.0 - cfg.kappa) * cfg.P_u * profile.beta_I[ll, kk, ll, kk]
-    return ue
-
-
 def dl_rates_fd_imperfect(profile, cfg, system="fd") -> np.ndarray:
     """Downlink rates under MMSE-estimated CSI, shape (L, K_d).
 
@@ -691,5 +706,4 @@ def _uatf_terms(profile, cfg, system, st):
     mean2 = coef[:, None, None] * (cfg.M * c[:, None, :] * bd) ** 2
     signal = mean2[jj, jj]                                      # (l, k)
     mean2[jj, jj] = 0.0
-    return signal, (cfg.P_d * bd.sum(axis=0) + mean2.sum(axis=0)
-                    + ue_interference(profile, cfg, system))
+    return signal, _dl_power(profile, cfg, system) + mean2.sum(axis=0)

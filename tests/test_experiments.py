@@ -225,10 +225,16 @@ def test_cli_unwritable_out_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("drops", [0, -1])
+@pytest.mark.parametrize("drops", [0, -1, 2.5, True])
 def test_cli_rejects_fewer_than_one_drop(tmp_path, capsys, drops):
     """A sweep over no drops has no mean: exit 1 with an error that names
-    drops, not a ZeroDivisionError or a math domain error."""
+    drops, not a ZeroDivisionError or a math domain error.  A count that is
+    not an integer (2.5, or True, which would run one drop) is named in the
+    library; the command line parses only integers."""
+    with pytest.raises(ValueError, match="^drops "):
+        experiment_gain_vs_M(ScenarioParams(), drops, 0, M_list=[8], trials=8)
+    if type(drops) is not int:
+        return
     rc = main(["gain-vs-m", "--drops", str(drops), "--trials", "8",
                "--m-list", "8", "--out", str(tmp_path / "g.csv")])
     err = capsys.readouterr().err
@@ -236,12 +242,15 @@ def test_cli_rejects_fewer_than_one_drop(tmp_path, capsys, drops):
 
 
 @pytest.mark.parametrize("csi", ["perfect", "imperfect"])
-@pytest.mark.parametrize("m_ref", [0, -4])
+@pytest.mark.parametrize("m_ref", [0, -4, 2.5, float("nan")])
 def test_m_ref_below_one_rejected(tmp_path, capsys, tiny_h, csi, m_ref):
     """A reference antenna count below 1 is named, in the library and on the
-    command line, instead of blaming the powers or a square root."""
+    command line, instead of blaming the powers or a square root; so is one
+    that is not an integer (nan < 1 is false), in the library."""
     with pytest.raises(ValueError, match="m_ref"):
         reference_schedule(tiny_h, csi, m_ref)
+    if type(m_ref) is not int:
+        return
     rc = main(["power-scaling", "--cells", "2", "--users", "2", "--m-list", "16",
                "--trials", "8", "--csi", csi, "--m-ref", str(m_ref),
                "--out", str(tmp_path / "p.csv")])

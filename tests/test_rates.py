@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -12,9 +13,10 @@ from fdmimo import (LargeScaleProfile, SystemConfig, closed_form_report,
 from fdmimo import bounds, rates
 from fdmimo.channel import draw_cn, trial_rng
 from fdmimo.estimation import estimation_stats
-from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _mc_rates,
-                          per_cell_factors)
-from fdmimo.scenario import ScenarioParams, run_drop
+from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _bsbs_mean,
+                          _mc_rates, per_cell_factors)
+from fdmimo.scenario import (ScenarioParams, drop_topology, profile_from_topology,
+                             run_drop)
 
 from conftest import in_fresh_thread, pool_bytes, random_profile
 from reference import (dl_sinr_fd_perfect, estimate_all, realize_channels,
@@ -293,6 +295,22 @@ def test_tdd_excludes_fd_terms(small_profile, small_config):
     b = tdd_rates_mc(small_profile, lo, "perfect", 16, 3)
     np.testing.assert_array_equal(a.ul_rates, b.ul_rates)
     np.testing.assert_array_equal(a.dl_rates, b.dl_rates)
+
+
+@pytest.mark.parametrize("drop", range(7))
+def test_bsbs_mean_is_exact_on_drops(drop):
+    """The mean BS-BS power P_d sum_{l != j} beta_b[j, l] is exact to 1e-15 on
+    12-cell drops, whose self-interference gain on the diagonal is millions
+    of times the rest of its row: a row sum less the diagonal loses 1e-9 to
+    1e-8 of it there."""
+    params = ScenarioParams()
+    rng = np.random.default_rng([24, drop])
+    prof = profile_from_topology(params, drop_topology(params, rng), rng)
+    cfg = params.system_config(M=20, kappa_db=-60.0)
+    bb = prof.beta_b
+    exact = [cfg.P_d * math.fsum(np.delete(row, j)) for j, row in enumerate(bb)]
+    assert prof.L == 12
+    np.testing.assert_allclose(_bsbs_mean(prof, cfg), exact, rtol=1e-15, atol=0)
 
 
 def test_report_se_and_serialization(small_profile, small_config):
