@@ -32,13 +32,10 @@ def prop1_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     _check_inputs(profile, cfg, closed_forms=True)
     M, jj = cfg.M, np.arange(profile.L)
     own_u, own_d = profile.beta_u[jj, jj], profile.beta_d[jj, jj]   # (L, K)
-    bs = (_bsbs_mean(profile, cfg) + _si_bs(profile, cfg))[:, None] if system == "fd" else 0.0
-    ul = np.log2(1.0 + cfg.P_u * (M - 1) * own_u
-                 / (cfg.P_u * _ul_gains(profile)[0] + bs + cfg.sigma2))
-
+    ul = _ul_bound(profile, cfg, system, own_u, _ul_gains(profile)[0])
     coef = per_cell_factors(profile, cfg, "perfect")[:, None]
-    I_down = coef * (M - 2) * own_d * (own_d.sum(axis=1, keepdims=True) - own_d)
-    I_down += _dl_power(profile, cfg, system) - cfg.P_d * own_d
+    I_down = coef * (M - 2) * own_d * (own_d @ (1 - np.eye(profile.K_d)))
+    I_down += _dl_power(profile, cfg, system, own=False)
     num = coef * (M - 1) * (M - 2) * own_d ** 2
     dl = np.log2(1.0 + num / (I_down + cfg.sigma2_dl))
     return ul, dl
@@ -55,12 +52,17 @@ def prop2_rates(profile: LargeScaleProfile, cfg: SystemConfig,
     """
     _check_mode(system=system)
     _check_inputs(profile, cfg, closed_forms=True)
-    M, P_u, st = cfg.M, cfg.P_u, estimation_stats(profile, cfg)
+    st = estimation_stats(profile, cfg)
     inter, contam = _ul_gains(profile)
-    bs = (_bsbs_mean(profile, cfg) + _si_bs(profile, cfg))[:, None] if system == "fd" else 0.0
-    den = P_u * (inter + st.err_var_u + M * cfg.P_tr * contam / st.lam_u) + bs + cfg.sigma2
-    ul = np.log2(1.0 + P_u * (M - 1) * st.est_var_u / den)
+    ul = _ul_bound(profile, cfg, system, st.est_var_u,
+                   inter + st.err_var_u + cfg.M * cfg.P_tr * contam / st.lam_u)
     return ul, _uatf_rates(profile, cfg, system, st)
+
+
+def _ul_bound(profile, cfg, system, a, inter):
+    """log2(1 + P_u (M - 1) a / (P_u inter + B + sigma2)), B an FD BS's BS-BS + SI power."""
+    bs = (_bsbs_mean(profile, cfg) + _si_bs(profile, cfg))[:, None] if system == "fd" else 0.0
+    return np.log2(1.0 + cfg.P_u * (cfg.M - 1) * a / (cfg.P_u * inter + bs + cfg.sigma2))
 
 
 def closed_form_report(profile, cfg, csi, system="fd") -> RateReport:

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import antenna_reduction_curve, fd_gain, homogeneous_rates
-from .config import (HomogeneousConfig, PowerScalingSchedule, _check_config,
-                     _is_integer, config_digest, expand_homogeneous)
-from .rates import _CSI_MODES, RateReport, fd_rates_mc, overheads, tdd_rates_mc
+from .config import (HomogeneousConfig, PowerScalingSchedule, _is_integer,
+                     config_digest, expand_homogeneous)
+from .rates import (_CSI_MODES, RateReport, _check_config, fd_rates_mc,
+                    overheads, tdd_rates_mc)
 from .scenario import ScenarioParams, run_drop
 
 

@@ -37,10 +37,9 @@ products an SINR reads pilot group by pilot group (:class:`_TrialSampler`):
   |z|^2 sum_i sigma_i^2 Exp(1), |z|^2 ~ Gamma(M), exact for every M.  UE-UE
   channels are powers, beta_I Exp(1) (0 at an FD user's own pair, cancelled).
 
-Each SINR term has one helper, which the sampler, the kernels, the control
-means and the closed forms all read: :func:`_si_bs`, :func:`_si_ue`,
-:func:`_ue_gains`, :func:`_bsbs_mean`, :func:`_ul_gains`, :func:`_dl_power`
-and :func:`_precoder_var`.
+Each SINR term has one helper, read by the sampler, the kernels, the control
+means and the closed forms: :func:`_si_bs`, :func:`_si_ue`, :func:`_ue_gains`,
+:func:`_bsbs_mean`, :func:`_ul_gains`, :func:`_dl_power`, :func:`_precoder_var`.
 
 What one SINR reads at one BS is jointly exact or independent given the
 vector it conditions on, and BSs see independent channels, so every
@@ -84,7 +83,7 @@ import numpy as np
 
 from .channel import draw_cn, trial_rng
 from .crossfit import accumulate, crossfit
-from .config import LargeScaleProfile, SystemConfig, _check_config, _is_integer
+from .config import LargeScaleProfile, SystemConfig, _is_integer, validate
 from .estimation import estimation_stats
 
 
@@ -106,8 +105,7 @@ def _cell_factors(profile, cfg, st):
 
 
 def _precoder_var(profile, st):
-    """Each precoder's variance per antenna, (L, K_d): beta_d[l, l, k], or
-    with estimated CSI (``st`` the MMSE statistics) P_tr beta_d^2 / lam_d."""
+    """Each precoder's variance per antenna, (L, K_d): beta_d[l, l, k], or est_var_d."""
     jj = np.arange(profile.L)
     return profile.beta_d[jj, jj] if st is None else st.est_var_d
 
@@ -126,8 +124,7 @@ def _si_ue(profile, cfg):
 
 
 def _ue_gains(profile):
-    """The UE-UE gains beta_I (l, k, j, n), 0 at an FD user's own pair,
-    which it cancels down to :func:`_si_ue`."""
+    """UE-UE gains beta_I (l, k, j, n), 0 at an FD user's own pair (see :func:`_si_ue`)."""
     gains = profile.beta_I.copy()
     np.einsum("lklk->lk", gains[:, :profile.K_f, :, :profile.K_f])[...] = 0.0
     return gains
@@ -142,18 +139,18 @@ def _bsbs_mean(profile, cfg):
 def _ul_gains(profile):
     """Masked sums at BS j for uplink user n of cell j, (L, K_u): every other
     user's gain, and its pilot-sharers' squared gains (pilot contamination)."""
-    bu, jj = profile.beta_u, np.arange(profile.L)
-    other = bu.copy()
-    other[jj, jj] = 0.0                                 # the other cells' users
-    return (other.sum(axis=(1, 2))[:, None] + bu[jj, jj] @ (1 - np.eye(profile.K_u)),
+    bu = profile.beta_u
+    other = bu * (1 - np.eye(profile.L))[:, :, None]    # the other cells' users
+    return (other.sum(axis=(1, 2))[:, None] + bu.diagonal().T @ (1 - np.eye(profile.K_u)),
             (other ** 2).sum(axis=1))
 
 
-def _dl_power(profile, cfg, system):
-    """Mean power at each downlink user, (L, K_d), of all beams,
-    P_d sum_j beta_d[j, l, k], and with system="fd" of the uplink users:
-    P_u times :func:`_ue_gains`, plus :func:`_si_ue`."""
-    power = cfg.P_d * profile.beta_d.sum(axis=0)
+def _dl_power(profile, cfg, system, own=True):
+    """Mean power at each downlink user, (L, K_d): P_d sum_j beta_d[j, l, k]
+    (masked to j != l if not ``own``), and in FD P_u times :func:`_ue_gains`
+    plus :func:`_si_ue`."""
+    bd = profile.beta_d if own else profile.beta_d * (1 - np.eye(profile.L))[:, :, None]
+    power = cfg.P_d * bd.sum(axis=0)
     if system == "fd":
         power += cfg.P_u * _ue_gains(profile).sum(axis=(2, 3)) + _si_ue(profile, cfg)
     return power
@@ -597,6 +594,13 @@ def _control_means(profile, cfg, system, st, dl=True):
         dl = [_uatf_terms(profile, cfg, system, st)[1],
               np.log(a * e) + psi - np.euler_gamma + _ein_gamma_mean(M, a / e)]
     return [np.stack(ul, axis=-1), np.stack(dl, axis=-1)]
+
+
+def _check_config(cfg, closed_forms=False):
+    """Reject a config that fails validate, naming every violation."""
+    res = validate(cfg, closed_forms=closed_forms)
+    if not res.ok:
+        raise ValueError("invalid config: " + "; ".join(res.violations))
 
 
 def _check_inputs(profile, cfg, closed_forms=False):

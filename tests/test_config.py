@@ -105,22 +105,6 @@ def test_homogeneous_beta_range():
                           kappa=0.0, T=10)
 
 
-@pytest.mark.parametrize("kw, name", [({"kappa": -1.0}, "kappa"), ({"T": 4}, "tau"),
-                                      ({"L": 0}, "L"), ({"P_d": 0.0}, "P_d"),
-                                      ({"K": 2.0}, "K_f")])
-def test_homogeneous_config_validated_when_built(kw, name):
-    """A homogeneous network that no closed form accepts is rejected when it
-    is built, naming the field: kappa = -1, or T = 4 <= tau = K = 5, which
-    would give a negative estimated-CSI SE.  M is not checked there: the
-    closed forms and Monte Carlo each have their own rule for it."""
-    d = dict(L=3, K=5, beta=0.2, M=64, P_u=1.0, P_d=1.0, P_tr=1.0,
-             kappa=1e-4, T=196)
-    with pytest.raises(ValueError, match=f"invalid config: {name}: "):
-        HomogeneousConfig(**{**d, **kw})
-    for M in (0, 2):
-        assert HomogeneousConfig(**{**d, "M": M}).M == M
-
-
 @given(st.floats(min_value=1e-3, max_value=1e3),
        st.integers(min_value=1, max_value=10 ** 6))
 @settings(max_examples=50, deadline=None)
