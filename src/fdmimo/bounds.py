@@ -1,6 +1,9 @@
 """Closed-form lower bounds, homogeneous specializations, asymptotic limits
 and full-duplex gain ratios.
 
+Every finite-M bound is one SINR builder, rational in M
+(:func:`fdmimo.rates._sinr_terms`); a homogeneous network's costs O(1) per M.
+
 All evaluators also accept ``system="tdd"``, which removes the BS-BS, UE-UE
 and transmitter-noise terms and is used for the closed-form TDD reference in
 the asymptotic gain checks.
@@ -17,60 +20,35 @@ import numpy as np
 from .config import (HomogeneousConfig, LargeScaleProfile, PowerScalingSchedule,
                      SystemConfig, _is_integer, expand_homogeneous)
 from .estimation import estimation_stats
-from .rates import (RateReport, _bsbs_mean, _check_inputs, _check_mode,
-                    _dl_power, _si_bs, _uatf_rates, _ul_gains, overheads,
-                    per_cell_factors)
+from .rates import (RateReport, _check_inputs, _check_mode, _rates_at,
+                    _sinr_terms, overheads)
 
 
 def prop1_rates(profile: LargeScaleProfile, cfg: SystemConfig,
                 system: str = "fd"):
     """Jensen lower bounds on the ergodic rates under perfect CSI.
 
-    Returns (ul, dl) arrays of shape (L, K_u) and (L, K_d).
+    Returns (ul, dl) arrays of shape (L, K_u) and (L, K_d); the SINRs are
+    :func:`fdmimo.rates._sinr_terms` at cfg.M.
     """
     _check_mode(system=system)
     _check_inputs(profile, cfg, closed_forms=True)
-    M, jj = cfg.M, np.arange(profile.L)
-    own_u, own_d = profile.beta_u[jj, jj], profile.beta_d[jj, jj]   # (L, K)
-    ul = _ul_bound(profile, cfg, system, own_u, _ul_gains(profile)[0])
-    coef = per_cell_factors(profile, cfg, "perfect")[:, None]
-    I_down = coef * (M - 2) * own_d * (own_d @ (1 - np.eye(profile.K_d)))
-    I_down += _dl_power(profile, cfg, system, own=False)
-    num = coef * (M - 1) * (M - 2) * own_d ** 2
-    dl = np.log2(1.0 + num / (I_down + cfg.sigma2_dl))
-    return ul, dl
+    return _rates_at(_sinr_terms(profile, cfg, system, None), cfg.M)
 
 
 def prop2_rates(profile: LargeScaleProfile, cfg: SystemConfig,
                 system: str = "fd"):
-    """Lower bounds on the ergodic rates under MMSE-estimated CSI.
-
-    Uplink SINR: P_u (M - 1) a / (P_u (I + e + M P_tr C / lam_u) + B + sigma2),
-    a and e the estimate's and error's variances, I and C from
-    :func:`fdmimo.rates._ul_gains`, B the BS-BS and self-interference.  The downlink is
-    :func:`fdmimo.rates.dl_rates_fd_imperfect`, which the MC driver reports.
-    """
+    """Lower bounds on the ergodic rates under MMSE-estimated CSI, as
+    :func:`prop1_rates` on the estimator's statistics; the downlink is
+    :func:`fdmimo.rates.dl_rates_fd_imperfect`, which the MC driver reports."""
     _check_mode(system=system)
     _check_inputs(profile, cfg, closed_forms=True)
-    st = estimation_stats(profile, cfg)
-    inter, contam = _ul_gains(profile)
-    ul = _ul_bound(profile, cfg, system, st.est_var_u,
-                   inter + st.err_var_u + cfg.M * cfg.P_tr * contam / st.lam_u)
-    return ul, _uatf_rates(profile, cfg, system, st)
-
-
-def _ul_bound(profile, cfg, system, a, inter):
-    """log2(1 + P_u (M - 1) a / (P_u inter + B + sigma2)), B an FD BS's BS-BS + SI power."""
-    bs = (_bsbs_mean(profile, cfg) + _si_bs(profile, cfg))[:, None] if system == "fd" else 0.0
-    return np.log2(1.0 + cfg.P_u * (cfg.M - 1) * a / (cfg.P_u * inter + bs + cfg.sigma2))
+    return _rates_at(_sinr_terms(profile, cfg, system, estimation_stats(profile, cfg)), cfg.M)
 
 
 def closed_form_report(profile, cfg, csi, system="fd") -> RateReport:
     """Wrap the Proposition bounds into a RateReport (stderr zero)."""
-    if csi == "perfect":
-        ul, dl = prop1_rates(profile, cfg, system=system)
-    else:
-        ul, dl = prop2_rates(profile, cfg, system=system)
+    ul, dl = (prop1_rates if csi == "perfect" else prop2_rates)(profile, cfg, system=system)
     o_ul, o_dl = overheads(cfg, system, csi)
     return RateReport(system=system, csi=csi, ul_rates=ul, dl_rates=dl,
                       ul_stderr=np.zeros_like(ul), dl_stderr=np.zeros_like(dl),
@@ -78,38 +56,33 @@ def closed_form_report(profile, cfg, csi, system="fd") -> RateReport:
 
 
 def homogeneous_rates(h: HomogeneousConfig, csi: str, M: int | None = None):
-    """Per-cell (uplink SE, downlink SE) of the homogeneous all-FD network.
-
-    These are the algebraically reduced forms of the Proposition bounds; the
-    reduction identity is checked against prop1/prop2 in the test suite.
-    Like them it needs an integer M >= 3 (an O(1) check: curves bisect on M).
-    """
+    """Per-cell (uplink SE, downlink SE) of the homogeneous all-FD network:
+    the Proposition bounds on ``expand_homogeneous(h)``, overheads applied.
+    Like them it needs an integer M >= 3 (an O(1) check) and a valid ``h``."""
     _check_mode(csi=csi)
-    M = h.M if M is None else M
-    if not (_is_integer(M) and M >= 3):
-        raise ValueError(f"M: integer M >= 3 required, got {M!r}")
-    L, K, beta = h.L, h.K, h.beta
-    P_u, P_d, P_tr, kap, T, tau = h.P_u, h.P_d, h.P_tr, h.kappa, h.T, h.tau
-    if csi == "perfect":
-        ul = K * math.log2(1 + P_u * (M - 1) / (
-            P_u * (K - 1) + (L - 1) * beta * (P_u * K + P_d) + kap * P_d + 1))
-        V = M * K * (K - 1 + (L - 1) * K * beta) * P_u
-        dl = K * math.log2(1 + P_d * (M - 1) * (M - 2) / (
-            P_d * (K - 1) * (M - 2) + M * K * (L - 1) * beta * P_d + V
-            + M * K * (kap * P_u + 1)))
-        return ul, dl
-    Lbar = 1 + (L - 1) * beta
-    pref = K * (T - tau) / T
-    J = (P_d * (1 + P_tr * Lbar) * (Lbar - 1) + P_u * K * Lbar
-         + P_tr * (1 + kap * P_d) * Lbar + kap * P_d + 1)
-    ul = pref * math.log2(1 + P_tr * P_u * (M - 1) / (
-        P_tr * P_u * (K * Lbar ** 2 - 1 + beta * (Lbar - 1) * M) + J))
-    U1 = (P_d * (1 + (K - 1) * Lbar)
-          + K * (P_u * (K - 1) + P_u * (Lbar - 1) * K + 1 + kap * P_u))
-    U2 = P_tr * P_d * (M * beta + Lbar) + P_d
-    dl = pref * math.log2(1 + P_tr * P_d * M / (
-        (1 + P_tr * Lbar) * U1 + (Lbar - 1) * U2))
-    return ul, dl
+    return _homogeneous_se(h, csi)(h.M if M is None else M, "fd")
+
+
+@functools.lru_cache(maxsize=4)
+def _homogeneous_se(h, csi):
+    """Per-cell (uplink SE, downlink SE) of a valid ``h`` as a function of an
+    integer M >= 3 and the system: K times user (0, 0)'s
+    :func:`fdmimo.rates._sinr_terms`, as floats.  The last few are kept, so a
+    curve or a sweep builds them once."""
+    profile, cfg = expand_homogeneous(h), h.system_config(M=3)     # any valid M
+    _check_inputs(profile, cfg, closed_forms=True)
+    st = None if csi == "perfect" else estimation_stats(profile, cfg)
+    links = {system: [([float(np.ravel(x)[0]) for x in s], [float(np.ravel(x)[0]) for x in i], n)
+                      for s, i, n in _sinr_terms(profile, cfg, system, st)]
+             for system in ("fd", "tdd")}
+    weights = {system: [h.K * o for o in overheads(cfg, system, csi)] for system in links}
+
+    def se(M, system):
+        if not (_is_integer(M) and M >= 3):
+            raise ValueError(f"M: integer M >= 3 required, got {M!r}")
+        (w_ul, w_dl), (ul, dl) = weights[system], _rates_at(links[system], M, math.log2)
+        return w_ul * ul, w_dl * dl
+    return se
 
 
 def asymptotic_rates(profile: LargeScaleProfile, cfg: SystemConfig,
@@ -209,10 +182,12 @@ def antenna_reduction_curve(h: HomogeneousConfig, M_tdd_list, csi: str,
 
     The FD rates grow with M, so the count is searched for from M_tdd by
     :func:`_least_reaching`, which returns what bisection returns in a few
-    evaluations.  Each M's FD rates are evaluated once per curve.  A gain
-    the FD network misses even at M_max gives M_fd = M_max, unreachable.
-    Without ``gains`` each M_tdd gets 8 gains from 1 to the equal-antenna
-    gain.  Gains must be finite and positive, M_max an integer >= 3.
+    evaluations.  The FD and TDD terms are built once per curve
+    (:func:`_homogeneous_se`), and each M's FD rates are evaluated once.  A
+    gain the FD network misses even at M_max gives M_fd = M_max,
+    unreachable.  Without ``gains`` each M_tdd gets 8 gains from 1 to the
+    equal-antenna gain.  Gains must be finite and positive, M_max an integer
+    >= 3, and ``h`` valid.
     """
     _check_mode(csi=csi)
     if not (_is_integer(M_max) and M_max >= 3):
@@ -222,15 +197,15 @@ def antenna_reduction_curve(h: HomogeneousConfig, M_tdd_list, csi: str,
         bad = [g for g in gains if not (g > 0 and math.isfinite(g))]
         if bad:
             raise ValueError(f"gains: finite positive target gains required, got {bad!r}")
-    profile = expand_homogeneous(h)
+    se = _homogeneous_se(h, csi)
+    # One homogeneous_rates call, O(1) on the terms built above, per FD probe.
     fd_sum_se = functools.cache(lambda m: sum(homogeneous_rates(h, csi, M=m)))
     points = []
     for M_tdd in M_tdd_list:
-        rep = closed_form_report(profile, h.system_config(M=M_tdd), csi, system="tdd")
-        se_tdd = float(rep.ul_se_per_cell.sum() + rep.dl_se_per_cell.sum()) / h.L
+        tdd = sum(se(M_tdd, "tdd"))
 
         def gain(m):
-            return fd_sum_se(m) / se_tdd
+            return fd_sum_se(m) / tdd
 
         target_gains = gains
         if target_gains is None:

@@ -1,13 +1,11 @@
 """Monte Carlo ergodic rates and the analytic estimated-CSI downlink.
 
 Uplink uses maximum ratio combining; downlink uses conjugate beamforming.
-All interference is treated as noise.  The full-duplex downlink rate under
-imperfect CSI is the use-and-then-forget bound, a closed form in the
-large-scale gains (:func:`dl_rates_fd_imperfect`); it is also the downlink
-of :func:`fdmimo.bounds.prop2_rates`.  Everything else is averaged over
-channel realizations by batched SINR kernels.  The per-user loop forms of
-the SINRs and the M-vector channel model they start from are test oracles
-in ``tests/reference.py``.
+All interference is treated as noise.  The closed forms, the FD estimated-CSI
+downlink's use-and-then-forget bound (:func:`dl_rates_fd_imperfect`) among
+them, are one SINR builder, rational in M (:func:`_sinr_terms`); the rest is
+averaged over channel realizations by batched SINR kernels.  The per-user
+SINR loops and the M-vector channel model are oracles in ``tests/reference.py``.
 
 The Monte Carlo engine never draws an M-vector.  Each BS draws the inner
 products an SINR reads pilot group by pilot group (:class:`_TrialSampler`):
@@ -39,7 +37,8 @@ products an SINR reads pilot group by pilot group (:class:`_TrialSampler`):
 
 Each SINR term has one helper, read by the sampler, the kernels, the control
 means and the closed forms: :func:`_si_bs`, :func:`_si_ue`, :func:`_ue_gains`,
-:func:`_bsbs_mean`, :func:`_ul_gains`, :func:`_dl_power`, :func:`_precoder_var`.
+:func:`_bsbs_mean`, :func:`_ul_gains`, :func:`_dl_power`, :func:`_precoder_var`,
+:func:`_mmse_gain`.
 
 What one SINR reads at one BS is jointly exact or independent given the
 vector it conditions on, and BSs see independent channels, so every
@@ -154,6 +153,75 @@ def _dl_power(profile, cfg, system, own=True):
     if system == "fd":
         power += cfg.P_u * _ue_gains(profile).sum(axis=(2, 3)) + _si_ue(profile, cfg)
     return power
+
+
+def _mmse_gain(profile, cfg, st):
+    """MMSE gains c = P_tr beta[j, j, n] / lam of the uplink and downlink users'
+    pilot slots, (L, K_u) and (L, K_d): an estimate is c times its observation."""
+    return tuple(cfg.P_tr * (beta.diagonal().T / lam)
+                 for beta, lam in ((profile.beta_u, st.lam_u), (profile.beta_d, st.lam_d)))
+
+
+def _sinr_terms(profile, cfg, system, st):
+    """Every closed-form SINR, for all M at once: per link (signal,
+    interference, noise), the first two the coefficients of 1/M, 1 and M,
+    each 0 or an (L, K) array (:func:`_at`); Proposition 1 with ``st`` None,
+    else 2.
+
+    Uplink: P_u (M - 1) a / (P_u (I + e + M C) + B), a and e the combiner's
+    and error's variances, I the other users' gains, C the contamination
+    P_tr sum_{l != j} beta_u^2 / lam_u (:func:`_ul_gains`), B an FD BS's
+    BS-BS and SI power.  Downlink, coef = c0 / M (:func:`per_cell_factors`):
+    coef (M - 1)(M - 2) b^2 / (coef (M - 2) b S + P), b the own gain, S the
+    cell's other users' and P the other BSs' and UEs' power
+    (:func:`_dl_power`); with ``st``, :func:`dl_rates_fd_imperfect`.
+    """
+    jj, P_u = np.arange(profile.L), cfg.P_u
+    inter, contam = _ul_gains(profile)
+    bs = (_bsbs_mean(profile, cfg) + _si_bs(profile, cfg))[:, None] if system == "fd" else 0.0
+    a, e, C = ((profile.beta_u[jj, jj], 0.0, 0.0) if st is None
+               else (st.est_var_u, st.err_var_u, cfg.P_tr * contam / st.lam_u))
+    ul = ([0.0, -P_u * a, P_u * a], [0.0, P_u * (inter + e) + bs, P_u * C])
+    c0 = (cfg.P_d / _precoder_var(profile, st).sum(axis=1))[:, None]
+    if st is None:
+        own = profile.beta_d[jj, jj]
+        x, y = c0 * own ** 2, c0 * own * (own @ (1 - np.eye(profile.K_d)))
+        dl = ([2 * x, -3 * x, x], [-2 * y, y + _dl_power(profile, cfg, system, own=False), 0.0])
+    else:   # BS j's beam k at user k of cell l: mean M c[j, k] beta_d[j, l, k]
+        mean2 = c0[..., None] * (_mmse_gain(profile, cfg, st)[1][:, None] * profile.beta_d) ** 2
+        signal = mean2[jj, jj]                                  # (l, k)
+        mean2[jj, jj] = 0.0
+        dl = ([0.0, 0.0, signal], [0.0, _dl_power(profile, cfg, system), mean2.sum(axis=0)])
+    return [(*link, noise) for link, noise in ((ul, cfg.sigma2), (dl, cfg.sigma2_dl))]
+
+
+def _at(c, M):
+    """Coefficients c of 1/M, 1 and M (:func:`_sinr_terms`) at M."""
+    return c[0] / M + c[1] + c[2] * M
+
+
+def _rates_at(links, M, log2=np.log2):
+    """log2(1 + SINR) at M of each link of :func:`_sinr_terms`."""
+    return tuple(log2(1.0 + _at(s, M) / (_at(i, M) + noise)) for s, i, noise in links)
+
+
+def dl_rates_fd_imperfect(profile, cfg, system="fd") -> np.ndarray:
+    """Downlink rates under MMSE-estimated CSI, shape (L, K_d).
+
+    The use-and-then-forget bound: user k of cell l decodes against the mean
+    of its effective channel, and all else it receives is interference.  BS
+    j's beam to its own user k arrives with mean power
+    coef[j] (M c[j, k] beta_d[j, l, k])^2, c the MMSE gain
+    P_tr beta_d[j, j, k] / lam_d[j, k] (:func:`_mmse_gain`); the other
+    cells' means are pilot contamination.  Each BS radiates P_d in all, so
+    every beam's spread about its mean sums to P_d sum_j beta_d[j, l, k].
+    The interference is E[D] of the simulated downlink (:func:`_control_means`).
+    Holds for every M >= 1.  With system="tdd" the UE-UE interference and
+    the full-duplex transmitter noise terms are absent.
+    """
+    _check_mode(system=system)
+    st = estimation_stats(profile, cfg)
+    return _rates_at(_sinr_terms(profile, cfg, system, st), cfg.M)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +364,6 @@ class _TrialSampler:
     def __init__(self, profile, cfg, need_est, tdd, dl=True):
         self.profile, self.cfg, self.tdd, self.dl = profile, cfg, tdd, dl
         L, K_u, K_d, K_f = profile.L, profile.K_u, profile.K_d, profile.K_f
-        jj, bu, bd = np.arange(L), profile.beta_u, profile.beta_d
         self.ue_gain, self.groups = _ue_gains(profile), []
         self.st = st = estimation_stats(profile, cfg) if need_est else None
         self.var_v = _precoder_var(profile, st)
@@ -306,14 +373,13 @@ class _TrialSampler:
         # Each slot's channel gains (j, l, slot) and MMSE gain (j, slot): the
         # uplink users', then the HD downlink users' (FD training: if dl).
         h = slice(K_f, K_d if dl or tdd else K_f)
-        beta = np.concatenate([bu, bd[..., h]], axis=2)
-        c = cfg.P_tr * np.concatenate([bu[jj, jj] / st.lam_u,
-                                       bd[jj, jj, h] / st.lam_d[:, h]], axis=1)
+        beta = np.concatenate([profile.beta_u, profile.beta_d[..., h]], axis=2)
+        cu, cd = _mmse_gain(profile, cfg, st)
+        c = np.concatenate([cu, cd[:, h]], axis=1)
         kinds = [(beta, [c])]
         self.iw, self.iv = slice(K_u), np.r_[:K_f, K_u:K_u + K_d - K_f]
         if tdd:     # an FD user's two slots observe one set of channels: one group
-            cd = cfg.P_tr * bd[jj, jj, :K_f] / st.lam_d[:, :K_f]
-            kinds = [(beta[..., :K_f], [c[:, :K_f], cd])] if K_f else []
+            kinds = [(beta[..., :K_f], [c[:, :K_f], cd[:, :K_f]])] if K_f else []
             kinds.append((beta[..., K_f:], [c[:, K_f:]]))
             self.iw = np.r_[:2 * K_f:2, 2 * K_f:K_f + K_u]
             self.iv = np.r_[1:2 * K_f:2, K_f + K_u:K_u + K_d]
@@ -591,7 +657,7 @@ def _control_means(profile, cfg, system, st, dl=True):
         dl = [2 * (np.log(own) + psi), _dl_power(profile, cfg, system) - coef * M * own ** 2]
     else:
         a, e = st.est_var_d, st.err_var_d
-        dl = [_uatf_terms(profile, cfg, system, st)[1],
+        dl = [_at(_sinr_terms(profile, cfg, system, st)[1][1], M),
               np.log(a * e) + psi - np.euler_gamma + _ein_gamma_mean(M, a / e)]
     return [np.stack(ul, axis=-1), np.stack(dl, axis=-1)]
 
@@ -654,7 +720,7 @@ def _mc_rates(profile, cfg, system, csi, trials, seed):
                             dl=not analytic_dl)
     links = _simulate(sampler.draw, profile, cfg, system, sampler.st, trials, seed)
     if analytic_dl:
-        dl = _uatf_rates(profile, cfg, system, sampler.st)
+        dl = _rates_at(_sinr_terms(profile, cfg, system, sampler.st), cfg.M)[1]
         links.append((dl, np.zeros_like(dl)))
     (ul, ul_se), (dl, dl_se) = links
     o_ul, o_dl = overheads(cfg, system, csi)
@@ -671,43 +737,3 @@ def fd_rates_mc(profile, cfg, trials, seed, csi="perfect") -> RateReport:
 def tdd_rates_mc(profile, cfg, csi, trials, seed) -> RateReport:
     """TDD baseline rates, Monte Carlo with no lower-bounding."""
     return _mc_rates(profile, cfg, "tdd", csi, trials, seed)
-
-
-# ---------------------------------------------------------------------------
-# Analytic downlink rate under imperfect CSI
-# ---------------------------------------------------------------------------
-
-def dl_rates_fd_imperfect(profile, cfg, system="fd") -> np.ndarray:
-    """Downlink rates under MMSE-estimated CSI, shape (L, K_d).
-
-    The use-and-then-forget bound: user k of cell l decodes against the mean
-    of its effective channel, and all else it receives is interference.  BS
-    j's beam to its own user k arrives with mean power
-    coef[j] (M c[j, k] beta_d[j, l, k])^2, c the MMSE gain
-    P_tr beta_d[j, j, k] / lam_d[j, k]; the other cells' means are pilot
-    contamination.  Each BS radiates P_d in all, so every beam's spread
-    about its mean sums to P_d sum_j beta_d[j, l, k].  Holds for every
-    M >= 1.  With system="tdd" the UE-UE interference and the full-duplex
-    transmitter noise terms are absent.
-    """
-    _check_mode(system=system)
-    return _uatf_rates(profile, cfg, system, estimation_stats(profile, cfg))
-
-
-def _uatf_rates(profile, cfg, system, st):
-    """:func:`dl_rates_fd_imperfect` given the profile's MMSE statistics."""
-    signal, interference = _uatf_terms(profile, cfg, system, st)
-    return np.log2(1.0 + signal / (interference + cfg.sigma2_dl))
-
-
-def _uatf_terms(profile, cfg, system, st):
-    """Signal and interference, (L, K_d), of :func:`dl_rates_fd_imperfect`
-    given the profile's MMSE statistics ``st``."""
-    jj = np.arange(profile.L)
-    bd = profile.beta_d                                         # (j, l, k)
-    c = cfg.P_tr * bd[jj, jj] / st.lam_d
-    coef = _cell_factors(profile, cfg, st)
-    mean2 = coef[:, None, None] * (cfg.M * c[:, None, :] * bd) ** 2
-    signal = mean2[jj, jj]                                      # (l, k)
-    mean2[jj, jj] = 0.0
-    return signal, _dl_power(profile, cfg, system) + mean2.sum(axis=0)

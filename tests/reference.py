@@ -9,6 +9,10 @@ reduced or closed array form; the tests check the two against each other.
 * ``prop1_rates_loop`` / ``prop2_rates_loop`` / ``asymptotic_rates_loop``
   are the closed-form bounds and limits as per-user scalar loops, and
   ``wishart_inverse_moments`` the inverse-moment identities behind them.
+  The library writes every finite-M bound once, as rational functions of M
+  (``fdmimo.rates._sinr_terms``); ``homogeneous_rates_reduced`` is the
+  homogeneous network's per-cell SEs reduced by hand, criterion 5's oracle
+  for ``homogeneous_rates``.
 * ``link_gains_loop`` is a drop's pathloss-and-shadowing gain matrix, one
   link at a time.
 * ``vector_draw_trials`` is the M-vector batch sampler, ``vector_batch``
@@ -29,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fdmimo.channel import PathlossModel, draw_cn, trial_rng
-from fdmimo.config import LargeScaleProfile, PowerScalingSchedule, SystemConfig
+from fdmimo.config import (HomogeneousConfig, LargeScaleProfile, PowerScalingSchedule,
+                           SystemConfig)
 from fdmimo.estimation import EstimationStats, estimation_stats
 from fdmimo.rates import (_batch_dl_logrates, _batch_ul_logrates, _check_inputs,
                           _simulate, per_cell_factors)
@@ -384,6 +389,35 @@ def asymptotic_rates_loop(profile: LargeScaleProfile, cfg: SystemConfig,
                          for j in range(L) if j != l)
             dl[l, k] = np.log2(1.0 + E_tr * E_d * profile.beta_d[l, l, k] ** 4
                                / (Z[l] * (contam + s2 ** 3)))
+    return ul, dl
+
+
+def homogeneous_rates_reduced(h: HomogeneousConfig, csi: str, M: int | None = None):
+    """Per-cell (uplink SE, downlink SE) of the homogeneous all-FD network,
+    overheads applied: Propositions 1 and 2 reduced by hand for unit
+    same-cell and beta cross-cell gains and unit noise."""
+    M = h.M if M is None else M
+    L, K, beta = h.L, h.K, h.beta
+    P_u, P_d, P_tr, kap, T, tau = h.P_u, h.P_d, h.P_tr, h.kappa, h.T, h.tau
+    if csi == "perfect":
+        ul = K * math.log2(1 + P_u * (M - 1) / (
+            P_u * (K - 1) + (L - 1) * beta * (P_u * K + P_d) + kap * P_d + 1))
+        V = M * K * (K - 1 + (L - 1) * K * beta) * P_u
+        dl = K * math.log2(1 + P_d * (M - 1) * (M - 2) / (
+            P_d * (K - 1) * (M - 2) + M * K * (L - 1) * beta * P_d + V
+            + M * K * (kap * P_u + 1)))
+        return ul, dl
+    Lbar = 1 + (L - 1) * beta
+    pref = K * (T - tau) / T
+    J = (P_d * (1 + P_tr * Lbar) * (Lbar - 1) + P_u * K * Lbar
+         + P_tr * (1 + kap * P_d) * Lbar + kap * P_d + 1)
+    ul = pref * math.log2(1 + P_tr * P_u * (M - 1) / (
+        P_tr * P_u * (K * Lbar ** 2 - 1 + beta * (Lbar - 1) * M) + J))
+    U1 = (P_d * (1 + (K - 1) * Lbar)
+          + K * (P_u * (K - 1) + P_u * (Lbar - 1) * K + 1 + kap * P_u))
+    U2 = P_tr * P_d * (M * beta + Lbar) + P_d
+    dl = pref * math.log2(1 + P_tr * P_d * M / (
+        (1 + P_tr * Lbar) * U1 + (Lbar - 1) * U2))
     return ul, dl
 
 

@@ -21,7 +21,8 @@ from fdmimo.experiments import experiment_power_scaling, experiment_tightness
 from fdmimo.rates import _TrialSampler, dl_rates_fd_imperfect, overheads
 
 from conftest import random_config, random_profile, uniform_mixed_profile
-from reference import kernel_rates, mmse_estimate, wishart_inverse_moments
+from reference import (homogeneous_rates_reduced, kernel_rates, mmse_estimate,
+                       wishart_inverse_moments)
 
 PAPER_H = HomogeneousConfig(L=7, K=5, beta=0.3, M=64, P_u=10.0, P_d=100.0,
                             P_tr=10.0, kappa=1e-5, T=196)
@@ -138,7 +139,9 @@ def test_criterion_4_asymptotic_limits():
 
 
 def test_criterion_5_homogeneous_reduction_oracle():
-    """The two-parameter closed forms equal the general bounds to 1e-12."""
+    """The general bounds on the expanded homogeneous network, through
+    prop1/prop2 and through homogeneous_rates, equal the hand-reduced
+    two-parameter forms of tests/reference.py to 1e-12."""
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(50):
@@ -154,11 +157,11 @@ def test_criterion_5_homogeneous_reduction_oracle():
         pref = h.K * (h.T - h.tau) / h.T
         ul1, dl1 = prop1_rates(prof, cfg)
         ul2, dl2 = prop2_rates(prof, cfg)
-        pairs = [(h.K * ul1[0, 0], homogeneous_rates(h, "perfect")[0]),
-                 (h.K * dl1[0, 0], homogeneous_rates(h, "perfect")[1]),
-                 (pref * ul2[0, 0], homogeneous_rates(h, "imperfect")[0]),
-                 (pref * dl2[0, 0], homogeneous_rates(h, "imperfect")[1])]
-        for a, b in pairs:
+        want = [*homogeneous_rates_reduced(h, "perfect"),
+                *homogeneous_rates_reduced(h, "imperfect")]
+        got = [(h.K * ul1[0, 0], h.K * dl1[0, 0], pref * ul2[0, 0], pref * dl2[0, 0]),
+               (*homogeneous_rates(h, "perfect"), *homogeneous_rates(h, "imperfect"))]
+        for a, b in ((a, b) for row in got for a, b in zip(row, want)):
             worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     ok = worst <= 1e-12
     assert report(5, "homogeneous-reduction-oracle", ok, f"worst {worst:.2e}")

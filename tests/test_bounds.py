@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from fdmimo import (HomogeneousConfig, LargeScaleProfile,
                     antenna_reduction_curve, asymptotic_gain_limits,
                     asymptotic_rates, closed_form_report, expand_homogeneous,
                     fd_gain, homogeneous_rates, prop1_rates, prop2_rates)
-from fdmimo import bounds
+from fdmimo import bounds, dl_rates_fd_imperfect, fd_rates_mc, rates
 from fdmimo.experiments import experiment_tradeoff, reference_schedule
 
 from conftest import random_config, random_profile, uniform_mixed_profile
@@ -85,7 +86,9 @@ def test_closed_forms_check_inputs(small_profile, small_config, fn, kw, match):
 @pytest.mark.parametrize("system", ["fd", "tdd"])
 def test_array_forms_match_loops(system):
     """The array closed forms equal the per-user loops to 1e-12 on random
-    profiles with L = 1..5 cells and K_f = 0..3 FD users."""
+    profiles with L = 1..5 cells and K_f = 0..3 FD users, at a random M and
+    at M = 10^4 and 10^7 (the antenna-reduction curve's M_max), where the
+    bounds' rational functions of M are evaluated far from their build."""
     rng = np.random.default_rng(505)
     laws = (("perfect_csi_1_over_M", 64.0), ("imperfect_csi_1_over_sqrtM", 8.0))
     for i in range(60):
@@ -94,10 +97,10 @@ def test_array_forms_match_loops(system):
         K_h_d = int(rng.integers(0, 3)) if K_f else int(rng.integers(1, 3))
         prof = random_profile(rng, L=L, K_f=K_f, K_h_u=K_h_u, K_h_d=K_h_d)
         cfg = random_config(rng, prof, M=int(rng.integers(3, 400)))
-        pairs = [(prop1_rates(prof, cfg, system=system),
-                  prop1_rates_loop(prof, cfg, system=system)),
-                 (prop2_rates(prof, cfg, system=system),
-                  prop2_rates_loop(prof, cfg, system=system))]
+        pairs = [(fn(prof, c, system=system), loop(prof, c, system=system))
+                 for c in (cfg, cfg.replace(M=10 ** 4), cfg.replace(M=10 ** 7))
+                 for fn, loop in ((prop1_rates, prop1_rates_loop),
+                                  (prop2_rates, prop2_rates_loop))]
         for law, fac in laws:
             sched = PowerScalingSchedule(E_u=cfg.P_u * fac, E_d=cfg.P_d * fac,
                                          E_tr=cfg.P_tr * fac, exponent=law)
@@ -172,6 +175,43 @@ def test_homogeneous_rates_rejects_m(paper_homogeneous, M):
     for csi in ("perfect", "imperfect"):
         with pytest.raises(ValueError, match="M: integer M >= 3"):
             homogeneous_rates(paper_homogeneous, csi, M=M)
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: homogeneous_rates(h, "imperfect", M=64),
+    lambda h: antenna_reduction_curve(h, [100], "perfect", gains=[1.1]),
+], ids=["homogeneous_rates", "curve"])
+@pytest.mark.parametrize("kw,match", [
+    (dict(kappa=-1.0), "kappa: value in"),
+    (dict(T=5), "tau: tau < T"),
+    (dict(P_u=0.0), "P_u: strictly positive"),
+], ids=["kappa", "T", "P_u"])
+def test_homogeneous_network_validated(paper_homogeneous, call, kw, match):
+    """An invalid homogeneous network is rejected by the field it breaks, as
+    prop1/prop2 reject its expanded config, instead of returning rates."""
+    with pytest.raises(ValueError, match=match):
+        call(replace(paper_homogeneous, **kw))
+
+
+def test_every_closed_form_reads_the_sinr_builder(monkeypatch, small_profile,
+                                                  small_config, paper_homogeneous):
+    """Every closed-form rate, the MC driver's analytic downlink included,
+    comes from rates._sinr_terms: with it raising, each of them raises."""
+    def boom(*args):
+        raise RuntimeError("builder")
+
+    for module in (rates, bounds):
+        monkeypatch.setattr(module, "_sinr_terms", boom)
+    bounds._homogeneous_se.cache_clear()
+    calls = [lambda: prop1_rates(small_profile, small_config),
+             lambda: prop2_rates(small_profile, small_config),
+             lambda: dl_rates_fd_imperfect(small_profile, small_config),
+             lambda: homogeneous_rates(paper_homogeneous, "perfect"),
+             lambda: antenna_reduction_curve(paper_homogeneous, [100], "imperfect"),
+             lambda: fd_rates_mc(small_profile, small_config, 8, 0, csi="imperfect")]
+    for call in calls:
+        with pytest.raises(RuntimeError, match="builder"):
+            call()
 
 
 def test_asymptotic_rates_perfect_law():
@@ -264,11 +304,11 @@ def test_antenna_reduction_unreachable_flag(paper_homogeneous):
 
 def _scan_curve(h, csi, M_tdd, gains, M_max):
     """The antenna-reduction points by exhaustive scan: for each gain g the
-    smallest M in [3, M_max] whose FD gain over TDD reaches g, or None."""
-    rep = closed_form_report(expand_homogeneous(h), h.system_config(M=M_tdd), csi,
-                             system="tdd")
-    se_tdd = float(rep.ul_se_per_cell.sum() + rep.dl_se_per_cell.sum()) / h.L
-    gain = [sum(homogeneous_rates(h, csi, M=m)) / se_tdd for m in range(3, M_max + 1)]
+    smallest M in [3, M_max] whose FD gain over TDD reaches g, or None.  Both
+    sides are the curve's per-M evaluators, built once per (h, csi)."""
+    se = bounds._homogeneous_se(h, csi)
+    se_tdd = sum(se(M_tdd, "tdd"))
+    gain = [sum(se(m, "fd")) / se_tdd for m in range(3, M_max + 1)]
     return [next((m for m, r in enumerate(gain, start=3) if r >= g), None)
             for g in gains], gain
 
@@ -314,9 +354,10 @@ def test_antenna_reduction_curve_matches_scan(csi):
 @pytest.mark.parametrize("gains", [[1.2, float("nan")], [float("inf")], [0.0], [1.1, -1.2]])
 def test_antenna_reduction_curve_rejects_gains(monkeypatch, paper_homogeneous, gains):
     """A NaN gain used to give M_fd = M_max reachable, a negative one M_fd = 3;
-    every gain is now checked, by name, before any rate is evaluated."""
+    every gain is now checked, by name, before any rate is built or evaluated."""
     calls = []
     monkeypatch.setattr(bounds, "homogeneous_rates", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(bounds, "_homogeneous_se", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="gains: finite positive"):
         antenna_reduction_curve(paper_homogeneous, [100], "imperfect", gains=gains)
     assert calls == []
@@ -334,7 +375,8 @@ def test_tradeoff_call_budget(monkeypatch, paper_homogeneous, csi, calls):
     """homogeneous_rates calls of the default tradeoff experiment (M_tdd 100,
     200, 400, 800, the 8-gain grid, M_max = 10^7).  Each M is evaluated once
     per curve and the search from M_tdd needs a few probes per point; a
-    blind bisection over [3, 10^7] made 784 (imperfect) and 783 (perfect)."""
+    blind bisection over [3, 10^7] made 784 (imperfect) and 783 (perfect).
+    The FD and TDD terms are built once, together, for the whole curve."""
     count = []
     real = bounds.homogeneous_rates
 
@@ -343,8 +385,10 @@ def test_tradeoff_call_budget(monkeypatch, paper_homogeneous, csi, calls):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bounds, "homogeneous_rates", counting)
+    bounds._homogeneous_se.cache_clear()
     experiment_tradeoff(paper_homogeneous, [100, 200, 400, 800], csi)
     assert len(count) == calls
+    assert bounds._homogeneous_se.cache_info().misses == 1
 
 
 def test_reference_schedule_anchor(paper_homogeneous):
